@@ -1,10 +1,11 @@
 // The sharded serving pool (src/serve/Pool): fd handoff to specific
-// workers over socketpairs, 64+ concurrent clients load-balanced across
-// 4 shards over real loopback TCP, worker-crash propagation through
-// ErrorKind, deterministic per-worker trace dumps, aggregation of
-// per-shard Stats::Snapshots, clean stop with requests in flight, and
-// the paper's invariant held per shard — zero stack words copied per
-// steady-state park on every worker.
+// workers over socketpairs, bursts of 64 and 256 concurrent clients over
+// real loopback TCP on 1, 2 and 4 shards and both accept paths, with
+// exact accept counts, worker-crash propagation through ErrorKind,
+// deterministic per-worker trace dumps, aggregation of per-shard
+// Stats::Snapshots, clean stop with requests in flight, and the paper's
+// invariant held per shard — zero stack words copied per steady-state
+// park on every worker.
 //
 // Registered under the ctest label "serve".
 
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,81 +75,113 @@ void askWorkerDirect(Pool &P, int Worker, const std::string &Line,
   C.close();
 }
 
-/// 64 clients against 4 shards, all requests in flight at once — over
-/// either accept path.  ReusePort: the kernel spreads connections across
-/// the shards' own listeners; CentralAcceptor: the acceptor thread
-/// spreads them by load.  Either way each shard serves its own with zero
-/// words copied per park.
-void pingBurst(ListenMode Mode) {
-  constexpr int N = 64;
-  Pool P(options(4, Mode));
+/// One burst shape: the accept path, the shard count and the number of
+/// clients with a request in flight at once.
+struct Burst {
+  ListenMode Mode;
+  int Workers;
+  int Clients;
+};
+
+std::string burstName(const Burst &B) {
+  return "w" + std::to_string(B.Workers) + "_c" + std::to_string(B.Clients) +
+         "_" + listenModeName(B.Mode);
+}
+
+void PrintTo(const Burst &B, std::ostream *OS) { *OS << burstName(B); }
+
+/// \p Clients clients against the shards, every request in flight at
+/// once, for two rounds, over either accept path.  ReusePort: the kernel
+/// spreads connections across the shards' own listeners;
+/// CentralAcceptor: the acceptor thread spreads them by load.  Either way
+/// the path must not fall back, every connection is accepted exactly
+/// once, and each shard serves its own with zero words copied per park.
+class PingBurst : public ::testing::TestWithParam<Burst> {};
+
+TEST_P(PingBurst, AcrossPoolTcp) {
+  const Burst B = GetParam();
+  constexpr int Rounds = 2;
+  ServeOptions O = options(B.Workers, B.Mode);
+  O.MaxInflight = B.Clients;
+  Pool P(O);
   mustStart(P);
-  ASSERT_EQ(P.listenMode(), Mode);
+  ASSERT_EQ(P.listenMode(), B.Mode)
+      << "fell back to " << listenModeName(P.listenMode());
   // Wait for every shard's startup parks (ReusePort: acceptor on the
   // listener + taker on take-conn; central: the worker loop's take-conn)
   // before the burst, so each shard's first delivery is a park-wake and
   // the AcceptBatches bounds below are deterministic — without the gate a
   // fast burst can beat the acceptor to io-accept and complete every
   // accept inline (batches legitimately 0).
-  uint64_t StartParks = Mode == ListenMode::ReusePort ? 2 : 1;
+  uint64_t StartParks = B.Mode == ListenMode::ReusePort ? 2 : 1;
   for (int W = 0; W < P.workers(); ++W)
     ASSERT_TRUE(spinUntil([&] {
       return (P.snapshot(W) - P.baseline(W)).IoParks >= StartParks;
     })) << "worker " << W;
-  std::vector<Client> Cs(N);
+  std::vector<Client> Cs(B.Clients);
   std::string E;
-  for (int K = 0; K < N; ++K)
+  for (int K = 0; K < B.Clients; ++K)
     ASSERT_TRUE(Cs[K].connect(P.tcpPort(), E)) << "client " << K << ": " << E;
-  for (int K = 0; K < N; ++K)
-    ASSERT_TRUE(Cs[K].sendLine(K % 2 ? "PING"
-                                     : "EVAL (+ " + std::to_string(K) + " 1)"));
-  for (int K = 0; K < N; ++K) {
-    std::string Reply;
-    ASSERT_TRUE(Cs[K].recvLine(Reply)) << "client " << K;
-    EXPECT_EQ(Reply, K % 2 ? "PONG" : std::to_string(K + 1)) << "client " << K;
+  for (int R = 1; R <= Rounds; ++R) {
+    for (int K = 0; K < B.Clients; ++K)
+      ASSERT_TRUE(Cs[K].sendLine(K % 2 ? "PING"
+                                       : "EVAL (+ " + std::to_string(K) + " " +
+                                             std::to_string(R) + ")"));
+    for (int K = 0; K < B.Clients; ++K) {
+      std::string Reply;
+      ASSERT_TRUE(Cs[K].recvLine(Reply)) << "client " << K;
+      EXPECT_EQ(Reply, K % 2 ? "PONG" : std::to_string(K + R))
+          << "client " << K << " round " << R;
+    }
   }
   for (Client &C : Cs)
     C.close();
   P.stop();
   ASSERT_TRUE(P.error().ok()) << P.error();
 
+  const uint64_t N = static_cast<uint64_t>(B.Clients);
   Stats::Snapshot D = P.snapshot() - P.baseline();
-  EXPECT_EQ(D.RequestsServed, static_cast<uint64_t>(N));
-  // Per-shard accept counts sum to the burst exactly — every connection
-  // was accepted on (or handed to) exactly one shard.
-  uint64_t PerShard = 0;
-  for (int W = 0; W < P.workers(); ++W)
-    PerShard += (P.snapshot(W) - P.baseline(W)).AcceptedConnections;
-  EXPECT_EQ(PerShard, static_cast<uint64_t>(N));
-  EXPECT_EQ(D.AcceptedConnections, static_cast<uint64_t>(N));
+  EXPECT_EQ(D.RequestsServed, N * Rounds);
+  EXPECT_EQ(D.AcceptedConnections, N);
   // Batching: each delivery wake accounts for >= 1 accepted connection.
   // The startup-park gate above guarantees each shard's first delivery
   // is a park-wake, so every shard that accepted anything has a batch;
   // inline accepts join the current batch, hence Batches <= Accepted.
   EXPECT_GE(D.AcceptBatches, 1u);
   EXPECT_LE(D.AcceptBatches, D.AcceptedConnections);
+  uint64_t PerShard = 0;
   for (int W = 0; W < P.workers(); ++W) {
     Stats::Snapshot S = P.snapshot(W) - P.baseline(W);
-    if (S.AcceptedConnections > 0)
+    PerShard += S.AcceptedConnections;
+    if (S.AcceptedConnections > 0) {
       EXPECT_GE(S.AcceptBatches, 1u) << "worker " << W;
+    }
     EXPECT_LE(S.AcceptBatches, S.AcceptedConnections) << "worker " << W;
-  }
-  // The headline invariant, per shard: serving parked and resumed on
-  // every worker without copying a single stack word.
-  for (int W = 0; W < P.workers(); ++W) {
-    Stats::Snapshot S = P.snapshot(W) - P.baseline(W);
+    // The headline invariant, per shard: serving parked and resumed on
+    // every worker without copying a single stack word.
     EXPECT_GT(S.IoParks, 0u) << "worker " << W << " never parked";
     EXPECT_EQ(S.WordsCopied, 0u) << "worker " << W << " copied stack words";
   }
+  // Per-shard accept counts sum to the burst exactly — every connection
+  // was accepted on (or handed to) exactly one shard.
+  EXPECT_EQ(PerShard, N);
 }
+
+// The default path at 1, 2 and 4 shards, a 256-client admission burst at
+// 4, and the central acceptor at both ends of the shard range.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PingBurst,
+    ::testing::Values(Burst{ListenMode::ReusePort, 1, 64},
+                      Burst{ListenMode::ReusePort, 2, 64},
+                      Burst{ListenMode::ReusePort, 4, 64},
+                      Burst{ListenMode::ReusePort, 4, 256},
+                      Burst{ListenMode::CentralAcceptor, 1, 64},
+                      Burst{ListenMode::CentralAcceptor, 4, 64}),
+    [](const ::testing::TestParamInfo<Burst> &Info) {
+      return burstName(Info.param);
+    });
 
 } // namespace
-
-TEST(Pool, PingAcrossPoolTcp) { pingBurst(ListenMode::ReusePort); }
-
-TEST(Pool, PingAcrossPoolTcpCentralAcceptor) {
-  pingBurst(ListenMode::CentralAcceptor);
-}
 
 TEST(Pool, HandoffTargetsSpecificWorker) {
   Pool P(options(3));

@@ -148,6 +148,9 @@ TEST(Serve, StreamKeepsTheZeroCopyInvariant) {
 TEST(Serve, ManyConcurrentClients) {
   // 64 clients all send before any reads: every request is in flight at
   // once, so the server holds 64+ parked continuations simultaneously.
+  // Each connection's reader spawns its request's handler and parks on
+  // its next line before that handler runs, and no second line comes, so
+  // all 64 readers are parked when the last reply is written.
   constexpr int N = 64;
   Server S(options());
   mustStart(S);
@@ -174,6 +177,9 @@ TEST(Serve, ManyConcurrentClients) {
             static_cast<uint64_t>(N) + 1); // +1: stop()'s QUIT connection.
   EXPECT_GT(St.IoParks, B.IoParks);
   EXPECT_EQ(St.IoParks - B.IoParks, St.IoWakes - B.IoWakes);
+  EXPECT_GE(St.IoWaitPeak, static_cast<uint64_t>(N))
+      << "the 64 connections were never all parked at once";
+  EXPECT_EQ(St.WordsCopied - B.WordsCopied, 0u);
 }
 
 TEST(Serve, ZeroCopySteadyStateParks) {

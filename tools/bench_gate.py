@@ -5,30 +5,25 @@ Compares a benchmark's --json output against its checked-in baseline
 (bench_results/baselines/) and fails CI on counter regressions:
 
   * the zero-copy invariant is absolute — any one-shot column reporting
-    words_copied above its baseline, or any per-shard words_copied above
-    zero, fails the gate;
-  * workload-shape counters (requests, accepted, clients, workers,
-    bytes, chunks, n, dispatch_mode, superinstructions, inline_caches)
-    must match the baseline exactly — a drifted workload makes every
-    other comparison meaningless;
+    words_copied above its baseline fails the gate;
+  * workload-shape counters (yields, performs, bytes, chunks, n,
+    dispatch_mode, superinstructions, inline_caches) must match the
+    baseline exactly — a drifted workload makes every other comparison
+    meaningless;
   * a baseline may name extra exact-equality fields in a top-level
     "hard_eq" list; these apply to its one-shot columns only (bench_regex
     uses this to pin words_copied to exactly zero — a *decrease* from a
     nonzero baseline would mean the column stopped measuring parks);
-  * scheduling-flavored counters (io_parks, io_wakes, io_wait_peak) only
-    warn, with a generous ratio, since they legitimately vary with host
-    timing;
-  * wall time (elapsed_ms, requests_per_sec, mips) is warn-only by
-    design: shared CI runners are not a benchmarking environment.  The
-    exception is declared policy: a baseline with speedup_enforced (or
-    scaling_enforced) makes the bench's own speedup_* (scaling_4v1)
-    ratios hard floors whenever the run reports them as measurable —
-    fast-mode smoke runs record the ratio but cannot test it.
+  * wall time (elapsed_ms, mips) is warn-only by design: shared CI
+    runners are not a benchmarking environment.  The exception is
+    declared policy: a baseline with speedup_enforced makes the bench's
+    own speedup_* ratios hard floors whenever the run reports them as
+    measurable — fast-mode smoke runs record the ratio but cannot test
+    it.
 
-Columns are matched by their "name" field (bench_serve) or worker count
-(bench_pool).  A column present in the baseline but missing from the
-current run fails the gate — a silently dropped configuration would read
-as "nothing regressed".
+Columns are matched by their "name" field.  A column present in the
+baseline but missing from the current run fails the gate — a silently
+dropped configuration would read as "nothing regressed".
 
 Usage: bench_gate.py --baseline <file.json> --current <file.json>
 Exit status: 0 clean (warnings allowed), 1 on any failure.
@@ -38,15 +33,8 @@ import argparse
 import json
 import sys
 
-# Workload shape: must match the baseline exactly.  listen_mode is shape
-# too — a column silently measured on the other accept path would make
-# its numbers incomparable with its baseline.
+# Workload shape: must match the baseline exactly.
 HARD_EQ = (
-    "clients",
-    "workers",
-    "requests",
-    "accepted",
-    "listen_mode",
     "yields",
     "performs",
     "bytes",
@@ -57,25 +45,18 @@ HARD_EQ = (
     "inline_caches",
 )
 
-# Host-timing-flavored counters: warn when current > baseline * ratio.
-WARN_RATIO = {"io_parks": 1.5, "io_wakes": 1.5, "io_wait_peak": 1.5}
-
 # Wall time: never gate, always report.
-WALL = ("elapsed_ms", "requests_per_sec", "mips")
+WALL = ("elapsed_ms", "mips")
 
 
 def column_key(col):
-    if "name" in col:
-        return col["name"]
-    if "workers" in col:
-        return "workers=%d" % col["workers"]
-    return "<unnamed>"
+    return col.get("name", "<unnamed>")
 
 
 def gate_column(key, base, cur, failures, warnings, extra_hard_eq=()):
-    # The paper's invariant, end to end: one-shot serving copies no stack
-    # words.  Columns that are explicitly multi-shot (one_shot: false)
-    # are informational and exempt.
+    # The paper's invariant: a one-shot column copies no more stack words
+    # than its baseline.  Columns that are explicitly multi-shot
+    # (one_shot: false) are informational and exempt.
     one_shot = cur.get("one_shot", True)
     if one_shot and "words_copied" in cur:
         b = base.get("words_copied", 0)
@@ -83,12 +64,6 @@ def gate_column(key, base, cur, failures, warnings, extra_hard_eq=()):
             failures.append(
                 "%s: words_copied regressed: %d (baseline %d)"
                 % (key, cur["words_copied"], b)
-            )
-    for shard, words in enumerate(cur.get("shard_words_copied", [])):
-        if words > 0:
-            failures.append(
-                "%s: shard %d copied %d words (zero-copy invariant)"
-                % (key, shard, words)
             )
 
     for field in HARD_EQ:
@@ -110,14 +85,6 @@ def gate_column(key, base, cur, failures, warnings, extra_hard_eq=()):
                     % (key, field, cur.get(field), base[field])
                 )
 
-    for field, ratio in WARN_RATIO.items():
-        if field in base and field in cur and base[field] > 0:
-            if cur[field] > base[field] * ratio:
-                warnings.append(
-                    "%s: %s = %d is >%.0f%% above baseline %d"
-                    % (key, field, cur[field], (ratio - 1) * 100, base[field])
-                )
-
     for field in WALL:
         if field in base and field in cur:
             warnings.append(
@@ -135,40 +102,12 @@ def gate(base, cur):
         )
         return failures, warnings
 
-    # Top-level workload shape (bench-wide fields like "clients").
-    for field in HARD_EQ:
-        if field in base and base[field] != cur.get(field):
-            failures.append(
-                "%s = %r differs from baseline %r"
-                % (field, cur.get(field), base[field])
-            )
-
-    # Scaling is policy, not timing: when the baseline declares
-    # scaling_enforced, a current run that was *measurable* (enough
-    # hardware threads, not a fast-mode smoke — the bench reports this
-    # itself) must meet the floor, and falling short is a hard failure.
-    # A non-measurable run only records the ratio; the policy stands but
-    # cannot be tested on that host.
-    if base.get("scaling_enforced") and "scaling_4v1" in cur:
-        floor = cur.get("scaling_min", base.get("scaling_min", 2.5))
-        ratio = cur["scaling_4v1"]
-        if cur.get("scaling_measurable"):
-            if ratio < floor:
-                failures.append(
-                    "scaling_4v1 = %.2fx is below the enforced floor %.2fx"
-                    % (ratio, floor)
-                )
-        else:
-            warnings.append(
-                "scaling_4v1 = %.2fx recorded but not measurable on this "
-                "host (floor %.2fx stands)" % (ratio, floor)
-            )
-
-    # Speedup floors work the same way (bench_dispatch): the baseline
+    # Speedup floors are policy, not timing (bench_dispatch): the baseline
     # declares speedup_enforced, the bench reports one or more speedup_*
     # ratios plus whether wall clock was measurable on this run (fast-mode
-    # smoke runs are not).  Measurable runs must meet the floor; others
-    # record the ratio and the policy stands untested.
+    # smoke runs are not).  Measurable runs must meet the floor, and
+    # falling short is a hard failure; others record the ratio and the
+    # policy stands untested.
     if base.get("speedup_enforced"):
         floor = cur.get("speedup_min", base.get("speedup_min", 1.25))
         skip = ("speedup_min", "speedup_enforced", "speedup_measurable")
