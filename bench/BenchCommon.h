@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared helpers for the benchmark binaries.
+/// Shared helpers for the benchmark binaries: the one timer they all use
+/// and the exact-counter checks they gate their claims with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,9 +12,11 @@
 #include "support/Diag.h"
 #include "osc.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace osc::bench {
 
@@ -31,31 +34,48 @@ inline Value mustEval(Interp &I, const std::string &Src) {
 /// shrink).
 inline bool fastMode() { return std::getenv("OSC_BENCH_FAST") != nullptr; }
 
-/// Snapshot of the counters that matter for the paper's comparisons.
-struct CounterSnapshot {
-  uint64_t Bytes, WordsCopied, OneShotInvokes, MultiShotInvokes, Overflows,
-      SegAllocs, CacheHits, Instructions, Calls, Closures;
-
-  static CounterSnapshot take(const Interp &I) {
-    Stats::Snapshot S = I.snapshot();
-    return {S.BytesAllocated, S.WordsCopied,   S.OneShotInvokes,
-            S.MultiShotInvokes, S.Overflows,   S.SegmentsAllocated,
-            S.SegmentCacheHits, S.Instructions, S.ProcedureCalls,
-            S.ClosuresAllocated};
-  }
-  CounterSnapshot delta(const CounterSnapshot &Later) const {
-    return {Later.Bytes - Bytes,
-            Later.WordsCopied - WordsCopied,
-            Later.OneShotInvokes - OneShotInvokes,
-            Later.MultiShotInvokes - MultiShotInvokes,
-            Later.Overflows - Overflows,
-            Later.SegAllocs - SegAllocs,
-            Later.CacheHits - CacheHits,
-            Later.Instructions - Instructions,
-            Later.Calls - Calls,
-            Later.Closures - Closures};
-  }
+/// One timed stretch of work: the value of its last evaluation, its
+/// wall-clock milliseconds, and the counters it moved.
+struct Run {
+  Value Val;
+  double Ms = 0;
+  Stats::Snapshot D;
 };
+
+/// Evaluates \p Src \p Reps times back to back under steady_clock.  The
+/// counter snapshots sit outside the timed region.
+inline Run timed(Interp &I, const std::string &Src, int Reps = 1) {
+  Run R;
+  Stats::Snapshot S0 = I.snapshot();
+  auto T0 = std::chrono::steady_clock::now();
+  for (int K = 0; K != Reps; ++K)
+    R.Val = mustEval(I, Src);
+  auto T1 = std::chrono::steady_clock::now();
+  R.Ms = std::chrono::duration<double, std::milli>(T1 - T0).count();
+  R.D = I.snapshot() - S0;
+  return R;
+}
+
+/// Aborts unless counter \p What reads exactly \p Want.  The benches gate
+/// their claims on machine-independent counters, never on timings.
+inline void expectCount(const std::string &What, uint64_t Got,
+                        uint64_t Want) {
+  if (Got != Want)
+    oscFatal((What + " = " + std::to_string(Got) + ", expected " +
+              std::to_string(Want))
+                 .c_str());
+}
+
+/// The column named \p Name in \p Cols; aborts if the run did not produce
+/// it (a dropped column would read as "nothing regressed").
+template <typename ColumnT>
+const ColumnT &column(const std::vector<ColumnT> &Cols,
+                      const std::string &Name) {
+  for (const ColumnT &C : Cols)
+    if (C.Name == Name)
+      return C;
+  oscFatal(("missing column " + Name).c_str());
+}
 
 } // namespace osc::bench
 

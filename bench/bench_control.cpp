@@ -18,17 +18,17 @@
 /// delimiter's mark and the splice is a single link store.  The harness
 /// aborts if WordsCopied moves at all during the one-shot runs, and also
 /// aborts if a shim column does NOT copy (a shim that stopped copying
-/// would make the comparison vacuous).
+/// would make the comparison vacuous), if any of the four columns is
+/// missing, or if a column did not cut and splice exactly one slice per
+/// operation (a drifted workload).
 ///
-/// Usage: bench_control [--json <path>]   (OSC_BENCH_FAST=1 for a smoke run)
+/// OSC_BENCH_FAST=1 shrinks the run for a smoke test.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -55,12 +55,10 @@ const char *Setup =
 
 struct Column {
   std::string Name;
-  std::string Op = "yield"; ///< "yield" or "perform": names the JSON keys.
   bool OneShot = true;
   uint64_t Ops = 0;
   double Ms = 0;
   uint64_t WordsCopied = 0;      ///< Steady-state total (post-warmup).
-  uint64_t SliceClonedWords = 0; ///< Subset of WordsCopied due to cloning.
   uint64_t SliceCaptures = 0;
   uint64_t SliceSplices = 0;
 
@@ -77,20 +75,15 @@ Column runColumn(bool OneShot, int Depth, int Yields) {
   mustEval(I, "(define g (pump " + std::to_string(Depth) + "))"
               "(drain g 3)"); // Warmup: segments grown, stub frames planted.
 
-  Stats::Snapshot S0 = I.snapshot();
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(drain g " + std::to_string(Yields) + ")");
-  auto T1 = std::chrono::steady_clock::now();
-  Stats::Snapshot D = I.snapshot() - S0;
+  Run R = timed(I, "(drain g " + std::to_string(Yields) + ")");
+  const Stats::Snapshot &D = R.D;
 
   Column Col;
   Col.Name = OneShot ? "generator-oneshot" : "generator-copying-shim";
-  Col.Op = "yield";
   Col.OneShot = OneShot;
   Col.Ops = uint64_t(Yields);
-  Col.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
+  Col.Ms = R.Ms;
   Col.WordsCopied = D.WordsCopied;
-  Col.SliceClonedWords = D.SliceClonedWords;
   Col.SliceCaptures = D.SliceCaptures;
   Col.SliceSplices = D.SliceSplices;
   return Col;
@@ -118,12 +111,9 @@ Column runHandlerColumn(bool OneShot, int Depth, int Performs) {
   mustEval(I, HandlerSetup);
   mustEval(I, "(burst " + std::to_string(Depth) + " 3)"); // Warmup.
 
-  Stats::Snapshot S0 = I.snapshot();
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(burst " + std::to_string(Depth) + " " +
-              std::to_string(Performs) + ")");
-  auto T1 = std::chrono::steady_clock::now();
-  Stats::Snapshot D = I.snapshot() - S0;
+  Run R = timed(I, "(burst " + std::to_string(Depth) + " " +
+                      std::to_string(Performs) + ")");
+  const Stats::Snapshot &D = R.D;
 
   if (D.Performs != uint64_t(Performs))
     oscFatal("bench_control: the handler column did not perform the "
@@ -131,50 +121,18 @@ Column runHandlerColumn(bool OneShot, int Depth, int Performs) {
 
   Column Col;
   Col.Name = OneShot ? "handler-oneshot" : "handler-copying-shim";
-  Col.Op = "perform";
   Col.OneShot = OneShot;
   Col.Ops = uint64_t(Performs);
-  Col.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
+  Col.Ms = R.Ms;
   Col.WordsCopied = D.WordsCopied;
-  Col.SliceClonedWords = D.SliceClonedWords;
   Col.SliceCaptures = D.SliceCaptures;
   Col.SliceSplices = D.SliceSplices;
   return Col;
 }
 
-void writeJson(const std::string &Path, const std::vector<Column> &Cols) {
-  std::ofstream Out(Path);
-  if (!Out.good())
-    oscFatal(("bench_control: cannot write " + Path).c_str());
-  Out << "{\n  \"name\": \"bench_control\",\n  \"columns\": [\n";
-  for (size_t K = 0; K < Cols.size(); ++K) {
-    const Column &C = Cols[K];
-    Out << "    {\n"
-        << "      \"name\": \"" << C.Name << "\",\n"
-        << "      \"one_shot\": " << (C.OneShot ? "true" : "false") << ",\n"
-        << "      \"" << C.Op << "s\": " << C.Ops << ",\n"
-        << "      \"elapsed_ms\": " << C.Ms << ",\n"
-        << "      \"words_copied\": " << C.WordsCopied << ",\n"
-        << "      \"words_copied_per_" << C.Op << "\": " << C.wordsPerOp()
-        << ",\n"
-        << "      \"slice_cloned_words\": " << C.SliceClonedWords << ",\n"
-        << "      \"slice_captures\": " << C.SliceCaptures << ",\n"
-        << "      \"slice_splices\": " << C.SliceSplices << "\n    }"
-        << (K + 1 < Cols.size() ? "," : "") << "\n";
-  }
-  Out << "  ]\n}\n";
-}
-
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath;
-  for (int K = 1; K < Argc; ++K) {
-    std::string A = Argv[K];
-    if (A == "--json" && K + 1 < Argc)
-      JsonPath = Argv[++K];
-  }
-
+int main() {
   const int Depth = 24;
   const int Ops = fastMode() ? 2000 : 100000;
   std::printf("Delimited control: %d yields through a depth-%d generator, "
@@ -199,7 +157,14 @@ int main(int Argc, char **Argv) {
   // and per perform/resume in the one-shot steady state — and the
   // contrast must be real: each shim column exists to show what the
   // one-shot representation saves.
+  for (const char *Name : {"generator-oneshot", "generator-copying-shim",
+                           "handler-oneshot", "handler-copying-shim"})
+    column(Cols, Name);
   for (const Column &C : Cols) {
+    expectCount("bench_control: " + C.Name + " slice captures",
+                C.SliceCaptures, C.Ops);
+    expectCount("bench_control: " + C.Name + " slice splices",
+                C.SliceSplices, C.Ops);
     if (C.OneShot && C.WordsCopied != 0)
       oscFatal(("bench_control: the " + C.Name +
                 " column copied stack words; the capture-to-mark path has "
@@ -214,10 +179,7 @@ int main(int Argc, char **Argv) {
 
   std::printf("\nCheck passed: one-shot yields and performs copied 0 stack "
               "words (shim paid %.2f words/yield, %.2f words/perform).\n",
-              Cols[1].wordsPerOp(), Cols[3].wordsPerOp());
-  if (!JsonPath.empty()) {
-    writeJson(JsonPath, Cols);
-    std::printf("Wrote %s\n", JsonPath.c_str());
-  }
+              column(Cols, "generator-copying-shim").wordsPerOp(),
+              column(Cols, "handler-copying-shim").wordsPerOp());
   return 0;
 }

@@ -12,15 +12,16 @@
 ///                      (the shipping default).
 ///
 /// Logical instruction counts are dispatch-invariant by construction — a
-/// fused pair retires two, caches retire nothing — so the instructions
-/// field is exact, identical across all four columns (the binary aborts
-/// otherwise), and pinned to baseline via the gate's hard_eq list.  The
-/// mips field is wall clock and therefore warn-only in CI; outside fast
-/// mode the binary self-gates the headline claim instead: threaded-full
-/// must retire instructions no slower than switch-bare on every workload,
-/// and at least 1.25x faster on fib and tak.
+/// fused pair retires two, caches retire nothing — so every column of a
+/// workload must retire exactly the count in the workload table below;
+/// the binary aborts otherwise, and also if a column with inline caches
+/// never hits them or one without them does.  The mips field is wall
+/// clock and never gated in fast mode; outside fast mode the binary
+/// self-gates the headline claim: threaded-full must retire instructions
+/// no slower than switch-bare on every workload, and at least 1.25x
+/// faster on fib and tak.
 ///
-/// Usage: bench_dispatch [--json <path>]  (OSC_BENCH_FAST=1 for a smoke run)
+/// OSC_BENCH_FAST=1 shrinks the run for a smoke test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +30,7 @@
 #include "compiler/Bytecode.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -62,13 +61,14 @@ struct Workload {
   const char *TimedFast;
   const char *Expect; ///< write-form result of Timed / TimedFast.
   const char *ExpectFast;
-  int N, NFast; ///< Workload size, recorded as column shape.
+  /// Logical instructions Timed / TimedFast retires, in every mode.
+  uint64_t Instructions, InstructionsFast;
 };
 
 const Workload Workloads[] = {
     {"fib",
      "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))",
-     "(fib 12)", "(fib 27)", "(fib 18)", "196418", "2584", 27, 18},
+     "(fib 12)", "(fib 27)", "(fib 18)", "196418", "2584", 9852121, 129591},
     {"tak",
      "(define (tak x y z)"
      "  (if (< y x)"
@@ -76,13 +76,13 @@ const Workload Workloads[] = {
      "      z))"
      "(define (rep n acc)"
      "  (if (zero? n) acc (rep (- n 1) (+ acc (tak 18 12 6)))))",
-     "(tak 12 8 4)", "(rep 25 0)", "(rep 1 0)", "175", "7", 25, 1},
+     "(tak 12 8 4)", "(rep 25 0)", "(rep 1 0)", "175", "7", 26636611, 1065475},
     {"ack",
      "(define (ack m n)"
      "  (cond ((zero? m) (+ n 1))"
      "        ((zero? n) (ack (- m 1) 1))"
      "        (else (ack (- m 1) (ack m (- n 1))))))",
-     "(ack 2 3)", "(ack 3 6)", "(ack 2 5)", "509", "13", 6, 5},
+     "(ack 2 3)", "(ack 3 6)", "(ack 2 5)", "509", "13", 2755224, 1431},
     {"global-loop",
      "(define g 0)"
      "(define (gloop n acc)"
@@ -90,14 +90,12 @@ const Workload Workloads[] = {
      "      (begin (set! g (+ g 1)) (gloop (- n 1) (+ acc g)))))",
      "(begin (set! g 0) (gloop 100 0))",
      "(begin (set! g 0) (gloop 300000 0))",
-     "(begin (set! g 0) (gloop 5000 0))", "45000150000", "12502500", 300000,
-     5000},
+     "(begin (set! g 0) (gloop 5000 0))", "45000150000", "12502500", 6300014,
+     105014},
 };
 
 struct Column {
-  std::string Name; ///< "<workload>/<mode>" — the gate's column key.
-  const Workload *W = nullptr;
-  const Mode *M = nullptr;
+  std::string Name; ///< "<workload>/<mode>".
   uint64_t Instructions = 0;
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
@@ -124,83 +122,33 @@ Column runColumn(const Workload &W, const Mode &M) {
   const int Reps = fastMode() ? 1 : 3;
   Column Col;
   Col.Name = std::string(W.Name) + "/" + M.Name;
-  Col.W = &W;
-  Col.M = &M;
-  for (int R = 0; R < Reps; ++R) {
-    Stats::Snapshot S0 = I.snapshot();
-    auto T0 = std::chrono::steady_clock::now();
-    Value V = mustEval(I, Timed);
-    auto T1 = std::chrono::steady_clock::now();
-    Stats::Snapshot D = I.snapshot() - S0;
-    double Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-
-    if (I.valueToString(V) != Expect)
+  for (int Rep = 0; Rep < Reps; ++Rep) {
+    Run R = timed(I, Timed);
+    if (I.valueToString(R.Val) != Expect)
       oscFatal(("bench_dispatch: " + Col.Name + " computed " +
-                I.valueToString(V) + ", expected " + Expect +
+                I.valueToString(R.Val) + ", expected " + Expect +
                 "; the workload drifted")
                    .c_str());
-    if (R == 0) {
-      Col.Instructions = D.Instructions;
-      Col.CacheHits = D.CacheHits;
-      Col.CacheMisses = D.CacheMisses;
-      Col.Ms = Ms;
+    if (Rep == 0) {
+      Col.Instructions = R.D.Instructions;
+      Col.CacheHits = R.D.CacheHits;
+      Col.CacheMisses = R.D.CacheMisses;
+      Col.Ms = R.Ms;
     } else {
-      if (D.Instructions != Col.Instructions)
+      if (R.D.Instructions != Col.Instructions)
         oscFatal(("bench_dispatch: " + Col.Name +
                   " retired a different instruction count on a repeat run; "
                   "the workload is not re-runnable")
                      .c_str());
-      Col.Ms = std::min(Col.Ms, Ms);
+      Col.Ms = std::min(Col.Ms, R.Ms);
     }
   }
   return Col;
 }
 
-void writeJson(const std::string &Path, const std::vector<Column> &Cols,
-               double SpeedupFib, double SpeedupTak) {
-  std::ofstream Out(Path);
-  if (!Out.good())
-    oscFatal(("bench_dispatch: cannot write " + Path).c_str());
-  Out << "{\n  \"name\": \"bench_dispatch\",\n"
-      << "  \"hard_eq\": [\"instructions\"],\n"
-      << "  \"speedup_enforced\": true,\n"
-      << "  \"speedup_min\": 1.25,\n"
-      << "  \"speedup_measurable\": " << (fastMode() ? "false" : "true")
-      << ",\n"
-      << "  \"speedup_fib\": " << SpeedupFib << ",\n"
-      << "  \"speedup_tak\": " << SpeedupTak << ",\n"
-      << "  \"columns\": [\n";
-  for (size_t K = 0; K < Cols.size(); ++K) {
-    const Column &C = Cols[K];
-    Out << "    {\n"
-        << "      \"name\": \"" << C.Name << "\",\n"
-        << "      \"workload\": \"" << C.W->Name << "\",\n"
-        << "      \"dispatch_mode\": \""
-        << (C.M->Threaded ? "threaded" : "switch") << "\",\n"
-        << "      \"superinstructions\": " << C.M->Fuse << ",\n"
-        << "      \"inline_caches\": " << (C.M->Caches ? "true" : "false")
-        << ",\n"
-        << "      \"n\": " << (fastMode() ? C.W->NFast : C.W->N) << ",\n"
-        << "      \"instructions\": " << C.Instructions << ",\n"
-        << "      \"cache_hits\": " << C.CacheHits << ",\n"
-        << "      \"cache_misses\": " << C.CacheMisses << ",\n"
-        << "      \"elapsed_ms\": " << C.Ms << ",\n"
-        << "      \"mips\": " << C.mips() << "\n    }"
-        << (K + 1 < Cols.size() ? "," : "") << "\n";
-  }
-  Out << "  ]\n}\n";
-}
-
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath;
-  for (int K = 1; K < Argc; ++K) {
-    std::string A = Argv[K];
-    if (A == "--json" && K + 1 < Argc)
-      JsonPath = Argv[++K];
-  }
-
+int main() {
   std::printf("Dispatch: instructions/sec across the dispatch lattice "
               "(%s mode).\n\n",
               fastMode() ? "fast/smoke" : "full");
@@ -218,38 +166,33 @@ int main(int Argc, char **Argv) {
                 C.mips(), static_cast<unsigned long long>(C.CacheHits),
                 static_cast<unsigned long long>(C.CacheMisses));
 
-  // Logical instruction counts are the dispatch contract: all four
-  // columns of a workload must retire exactly the same count, or the
-  // modes have diverged and every other number is meaningless.
-  for (const Workload &W : Workloads) {
-    uint64_t Ref = 0;
-    for (const Column &C : Cols) {
-      if (C.W != &W)
-        continue;
-      if (Ref == 0)
-        Ref = C.Instructions;
-      else if (C.Instructions != Ref)
-        oscFatal(("bench_dispatch: " + C.Name +
-                  " retired a different logical instruction count than its "
-                  "siblings; the dispatch modes have diverged")
+  // Logical instruction counts are the dispatch contract: every column
+  // of a workload must retire exactly the workload's count, or the modes
+  // have diverged (or the workload drifted) and every other number is
+  // meaningless.  Whether a column ran with inline caches shows in its
+  // hit count.
+  for (const Workload &W : Workloads)
+    for (const Mode &M : ModeTab) {
+      const Column &C = column(Cols, std::string(W.Name) + "/" + M.Name);
+      expectCount("bench_dispatch: " + C.Name + " instructions",
+                  C.Instructions,
+                  fastMode() ? W.InstructionsFast : W.Instructions);
+      if ((C.CacheHits != 0) != M.Caches)
+        oscFatal(("bench_dispatch: " + C.Name + " hit its inline caches " +
+                  std::to_string(C.CacheHits) + " times; the column ran " +
+                  "in the wrong mode")
                      .c_str());
     }
-  }
 
   auto Mips = [&](const char *W, const char *M) {
-    std::string Key = std::string(W) + "/" + M;
-    for (const Column &C : Cols)
-      if (C.Name == Key)
-        return C.mips();
-    oscFatal(("bench_dispatch: missing column " + Key).c_str());
-    return 0.0;
+    return column(Cols, std::string(W) + "/" + M).mips();
   };
   double SpeedupFib = Mips("fib", "threaded-full") / Mips("fib", "switch-bare");
   double SpeedupTak = Mips("tak", "threaded-full") / Mips("tak", "switch-bare");
 
   if (!fastMode()) {
     // Wall-clock self-gates only outside fast mode: smoke workloads are
-    // too small to time, and CI runners gate on the JSON shape instead.
+    // too small to time.
     for (const Workload &W : Workloads)
       if (Mips(W.Name, "threaded-full") < Mips(W.Name, "switch-bare"))
         oscFatal(("bench_dispatch: threaded-full is slower than switch-bare "
@@ -265,9 +208,5 @@ int main(int Argc, char **Argv) {
               "(floor 1.25x%s).\n",
               SpeedupFib, SpeedupTak,
               fastMode() ? ", not gated in fast mode" : "");
-  if (!JsonPath.empty()) {
-    writeJson(JsonPath, Cols, SpeedupFib, SpeedupTak);
-    std::printf("Wrote %s\n", JsonPath.c_str());
-  }
   return 0;
 }

@@ -12,14 +12,15 @@
 /// Our analog on the VM: run the same workloads in direct style and in
 /// CPS, and report per-procedure-call allocation (bytes/call) and executed
 /// instructions/call.  Direct style on the segmented stack should allocate
-/// ~0 bytes per call; CPS pays a closure per non-tail continuation.
+/// ~0 bytes per call; CPS pays a closure per non-tail continuation.  The
+/// binary aborts unless a Boyer run makes exactly 831,248 calls and
+/// creates no closure.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "Workloads.h"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -84,16 +85,14 @@ Overheads measure(const char *Setup, const std::string &Call) {
   Interp I;
   mustEval(I, Setup);
   mustEval(I, Call); // Warm up (and take one-time GC growth out).
-  CounterSnapshot Start = CounterSnapshot::take(I);
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, Call);
-  auto T1 = std::chrono::steady_clock::now();
-  CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
+  Run R = timed(I, Call);
+  const Stats::Snapshot &D = R.D;
   Overheads O;
-  O.BytesPerCall = static_cast<double>(D.Bytes) / D.Calls;
-  O.InstrsPerCall = static_cast<double>(D.Instructions) / D.Calls;
-  O.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-  O.ClosuresPerCall = static_cast<double>(D.Closures) / D.Calls;
+  O.BytesPerCall = static_cast<double>(D.BytesAllocated) / D.ProcedureCalls;
+  O.InstrsPerCall = static_cast<double>(D.Instructions) / D.ProcedureCalls;
+  O.Ms = R.Ms;
+  O.ClosuresPerCall =
+      static_cast<double>(D.ClosuresAllocated) / D.ProcedureCalls;
   return O;
 }
 
@@ -128,23 +127,22 @@ int main() {
     mustEval(I, osc::workloads::boyer());
     mustEval(I, "(boyer-setup!)");
     mustEval(I, "(boyer-run)"); // Warm up.
-    CounterSnapshot Start = CounterSnapshot::take(I);
-    auto T0 = std::chrono::steady_clock::now();
-    Value R = mustEval(I, "(boyer-run)");
-    auto T1 = std::chrono::steady_clock::now();
-    CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
-    if (!R.isTrue())
+    Run R = timed(I, "(boyer-run)");
+    const Stats::Snapshot &D = R.D;
+    if (!R.Val.isTrue())
       oscFatal("boyer failed to prove its theorem");
     std::printf("%-10s %10s %12s %10s | closures/call = %.4f over %llu "
                 "calls  (paper: 0)\n",
                 "boyer", "-", "-", "-",
-                static_cast<double>(D.Closures) / D.Calls,
-                static_cast<unsigned long long>(D.Calls));
+                static_cast<double>(D.ClosuresAllocated) / D.ProcedureCalls,
+                static_cast<unsigned long long>(D.ProcedureCalls));
     std::printf("%-10s boyer direct-style: %.2f B/call, %.2f ins/call, "
                 "%.1f ms\n", "",
-                static_cast<double>(D.Bytes) / D.Calls,
-                static_cast<double>(D.Instructions) / D.Calls,
-                std::chrono::duration<double>(T1 - T0).count() * 1e3);
+                static_cast<double>(D.BytesAllocated) / D.ProcedureCalls,
+                static_cast<double>(D.Instructions) / D.ProcedureCalls,
+                R.Ms);
+    expectCount("E5: boyer closures", D.ClosuresAllocated, 0);
+    expectCount("E5: boyer calls", D.ProcedureCalls, 831248);
   }
 
   std::printf("\nShape check (paper/§5): the stack representation allocates "

@@ -18,15 +18,15 @@
 ///     aborts the moment any run exceeds it, a wall-clock-free proof that
 ///     the engine cannot blow up.
 ///
-/// Usage: bench_regex [--json <path>]   (OSC_BENCH_FAST=1 for a smoke run)
+/// The harness also aborts if a column is missing or scanned other than
+/// its exact byte count (a drifted workload).  OSC_BENCH_FAST=1 shrinks
+/// the run for a smoke test.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -39,10 +39,9 @@ struct Column {
   std::string Name;
   bool OneShot = true;
   uint64_t Bytes = 0;
-  uint64_t Chunks = 0;    ///< Stream columns: chunk handoffs (parks).
-  uint64_t N = 0;         ///< Pathological columns: the n in (a?)^n a^n.
-  uint64_t Steps = 0;     ///< Executor visits (Stats::RegexSteps).
-  uint64_t StepsBound = 0;///< (bytes+1) * instructions, 0 when untracked.
+  uint64_t Chunks = 0;     ///< Stream columns: chunk handoffs (parks).
+  uint64_t Steps = 0;      ///< Executor visits (Stats::RegexSteps).
+  uint64_t StepsBound = 0; ///< (bytes+1) * instructions, 0 when untracked.
   double Ms = 0;
   uint64_t WordsCopied = 0;
 
@@ -71,20 +70,16 @@ Column runThroughput(int Execs, const std::string &Text) {
               "(define text \"" + Text + "\")");
   mustEval(I, "(regex-search re text)"); // Warmup.
 
-  Stats::Snapshot S0 = I.snapshot();
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(let loop ((k 0) (r #f))"
-              "  (if (= k " + std::to_string(Execs) + ") r"
-              "      (loop (+ k 1) (regex-search re text))))");
-  auto T1 = std::chrono::steady_clock::now();
-  Stats::Snapshot D = I.snapshot() - S0;
+  Run R = timed(I, "(let loop ((k 0) (r #f))"
+                  "  (if (= k " + std::to_string(Execs) + ") r"
+                  "      (loop (+ k 1) (regex-search re text))))");
 
   Column Col;
   Col.Name = "search-throughput";
-  Col.Bytes = D.RegexBytesScanned;
-  Col.Steps = D.RegexSteps;
-  Col.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-  Col.WordsCopied = D.WordsCopied;
+  Col.Bytes = R.D.RegexBytesScanned;
+  Col.Steps = R.D.RegexSteps;
+  Col.Ms = R.Ms;
+  Col.WordsCopied = R.D.WordsCopied;
   return Col;
 }
 
@@ -116,11 +111,8 @@ Column runStream(bool OneShot, int Chunks, int ChunkBytes) {
               "  (scheduler-run))");
   mustEval(I, "(stream-run 4)"); // Warmup: segments grown, stubs planted.
 
-  Stats::Snapshot S0 = I.snapshot();
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(stream-run " + std::to_string(Chunks) + ")");
-  auto T1 = std::chrono::steady_clock::now();
-  Stats::Snapshot D = I.snapshot() - S0;
+  Run R = timed(I, "(stream-run " + std::to_string(Chunks) + ")");
+  const Stats::Snapshot &D = R.D;
 
   if (D.RegexStreamFeeds != uint64_t(Chunks))
     oscFatal("bench_regex: the stream column did not feed the requested "
@@ -132,7 +124,7 @@ Column runStream(bool OneShot, int Chunks, int ChunkBytes) {
   Col.Bytes = D.RegexBytesScanned;
   Col.Chunks = uint64_t(Chunks);
   Col.Steps = D.RegexSteps;
-  Col.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
+  Col.Ms = R.Ms;
   Col.WordsCopied = D.WordsCopied;
   return Col;
 }
@@ -148,20 +140,15 @@ Column runPathological(int N) {
   uint64_t NInstrs = static_cast<uint64_t>(
       mustEval(I, "(regex-program-size re)").asFixnum());
 
-  Stats::Snapshot S0 = I.snapshot();
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(if (regex-match re text) 'hit 'miss)");
-  auto T1 = std::chrono::steady_clock::now();
-  Stats::Snapshot D = I.snapshot() - S0;
+  Run R = timed(I, "(if (regex-match re text) 'hit 'miss)");
 
   Column Col;
   Col.Name = "pathological-n" + std::to_string(N);
-  Col.N = uint64_t(N);
-  Col.Bytes = uint64_t(N);
-  Col.Steps = D.RegexSteps;
+  Col.Bytes = R.D.RegexBytesScanned;
+  Col.Steps = R.D.RegexSteps;
   Col.StepsBound = (uint64_t(N) + 1) * NInstrs;
-  Col.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-  Col.WordsCopied = D.WordsCopied;
+  Col.Ms = R.Ms;
+  Col.WordsCopied = R.D.WordsCopied;
   if (Col.Steps > Col.StepsBound)
     oscFatal(("bench_regex: " + Col.Name + " exceeded the linearity bound "
               "(steps > (bytes+1)*instructions) — the executor has "
@@ -170,46 +157,9 @@ Column runPathological(int N) {
   return Col;
 }
 
-void writeJson(const std::string &Path, const std::vector<Column> &Cols) {
-  std::ofstream Out(Path);
-  if (!Out.good())
-    oscFatal(("bench_regex: cannot write " + Path).c_str());
-  // words_copied rides the gate's per-baseline hard_eq list: on one-shot
-  // columns it must be EXACTLY baseline (i.e. zero), not merely "no
-  // worse" — a decrease would mean the column stopped measuring parks.
-  Out << "{\n  \"name\": \"bench_regex\",\n"
-      << "  \"hard_eq\": [\"words_copied\"],\n  \"columns\": [\n";
-  for (size_t K = 0; K < Cols.size(); ++K) {
-    const Column &C = Cols[K];
-    Out << "    {\n"
-        << "      \"name\": \"" << C.Name << "\",\n"
-        << "      \"one_shot\": " << (C.OneShot ? "true" : "false") << ",\n"
-        << "      \"bytes\": " << C.Bytes << ",\n";
-    if (C.Chunks)
-      Out << "      \"chunks\": " << C.Chunks << ",\n";
-    if (C.N)
-      Out << "      \"n\": " << C.N << ",\n";
-    Out << "      \"steps\": " << C.Steps << ",\n";
-    if (C.StepsBound)
-      Out << "      \"steps_bound\": " << C.StepsBound << ",\n";
-    Out << "      \"elapsed_ms\": " << C.Ms << ",\n"
-        << "      \"mbytes_per_sec\": " << C.mbPerSec() << ",\n"
-        << "      \"words_copied\": " << C.WordsCopied << "\n    }"
-        << (K + 1 < Cols.size() ? "," : "") << "\n";
-  }
-  Out << "  ]\n}\n";
-}
-
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath;
-  for (int K = 1; K < Argc; ++K) {
-    std::string A = Argv[K];
-    if (A == "--json" && K + 1 < Argc)
-      JsonPath = Argv[++K];
-  }
-
+int main() {
   const bool Fast = fastMode();
   const int Execs = Fast ? 20 : 400;
   const int Chunks = Fast ? 500 : 20000;
@@ -236,6 +186,22 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(C.Steps), C.Ms,
                 static_cast<unsigned long long>(C.WordsCopied), C.mbPerSec());
 
+  // Every column, scanning exactly the bytes its workload feeds it.
+  const struct {
+    const char *Name;
+    uint64_t Bytes, BytesFast;
+  } Shapes[] = {
+      {"search-throughput", 20943600, 104680},
+      {"stream-oneshot", 1280000, 32000},
+      {"stream-copying-shim", 1280000, 32000},
+      {"pathological-n8", 8, 8},
+      {"pathological-n16", 16, 16},
+      {"pathological-n32", 32, 32},
+  };
+  for (const auto &S : Shapes)
+    expectCount(std::string("bench_regex: ") + S.Name + " bytes",
+                column(Cols, S.Name).Bytes, Fast ? S.BytesFast : S.Bytes);
+
   // The paper's invariant carried into the regex service: steady-state
   // streaming parks copy nothing one-shot, and the shim column must show
   // what that saves — a shim that stopped copying is measuring nothing.
@@ -249,14 +215,10 @@ int main(int Argc, char **Argv) {
                "nothing; the comparison is measuring two identical paths");
   }
 
+  const Column &Shim = column(Cols, "stream-copying-shim");
   std::printf("\nCheck passed: one-shot streaming parks copied 0 stack "
               "words (shim paid %.1f words/chunk); every pathological "
               "run stayed under (bytes+1)*instructions.\n",
-              Cols[2].Chunks ? double(Cols[2].WordsCopied) / Cols[2].Chunks
-                             : 0);
-  if (!JsonPath.empty()) {
-    writeJson(JsonPath, Cols);
-    std::printf("Wrote %s\n", JsonPath.c_str());
-  }
+              double(Shim.WordsCopied) / double(Shim.Chunks));
   return 0;
 }

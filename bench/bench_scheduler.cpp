@@ -25,7 +25,6 @@
 #include "BenchCommon.h"
 #include "Workloads.h"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -57,34 +56,21 @@ struct Sample {
 Sample runNative(int Threads, int FibN, int Interval) {
   Interp I;
   mustEval(I, NativeSetup);
-  uint64_t Copied0 = I.snapshot().WordsCopied;
-  uint64_t Switch0 = I.snapshot().ContextSwitches;
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(run-threads-native " + std::to_string(Threads) + " " +
-                  std::to_string(FibN) + " " + std::to_string(Interval) + ")");
-  auto T1 = std::chrono::steady_clock::now();
-  Sample S;
-  S.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-  S.WordsCopied = I.snapshot().WordsCopied - Copied0;
-  S.Switches = I.snapshot().ContextSwitches - Switch0;
-  return S;
+  Run R = timed(I, "(run-threads-native " + std::to_string(Threads) + " " +
+                       std::to_string(FibN) + " " + std::to_string(Interval) +
+                       ")");
+  return {R.Ms, R.D.WordsCopied, R.D.ContextSwitches};
 }
 
 Sample runScheme(const std::string &Setup, const char *Runner, int Threads,
                  int FibN, int Interval) {
   Interp I;
   mustEval(I, Setup);
-  CounterSnapshot Start = CounterSnapshot::take(I);
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, "(" + std::string(Runner) + " " + std::to_string(Threads) + " " +
-                  std::to_string(FibN) + " " + std::to_string(Interval) + ")");
-  auto T1 = std::chrono::steady_clock::now();
-  CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
-  Sample S;
-  S.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-  S.WordsCopied = D.WordsCopied;
-  S.Switches = D.OneShotInvokes + D.MultiShotInvokes;
-  return S;
+  Run R = timed(I, "(" + std::string(Runner) + " " + std::to_string(Threads) +
+                       " " + std::to_string(FibN) + " " +
+                       std::to_string(Interval) + ")");
+  return {R.Ms, R.D.WordsCopied,
+          R.D.OneShotInvokes + R.D.MultiShotInvokes};
 }
 
 } // namespace
@@ -113,15 +99,10 @@ int main() {
     for (int T = 0; T < Yielders; ++T)
       Setup += "(spawn (yielder " + std::to_string(Rounds) + "))";
     mustEval(I, Setup);
-    uint64_t Copied0 = I.snapshot().WordsCopied;
-    uint64_t Switch0 = I.snapshot().ContextSwitches;
-    auto T0 = std::chrono::steady_clock::now();
-    mustEval(I, "(scheduler-run)");
-    auto T1 = std::chrono::steady_clock::now();
-    uint64_t Switches = I.snapshot().ContextSwitches - Switch0;
-    uint64_t Copied = I.snapshot().WordsCopied - Copied0;
-    double Ns =
-        std::chrono::duration<double>(T1 - T0).count() * 1e9 / Switches;
+    Run R = timed(I, "(scheduler-run)");
+    uint64_t Switches = R.D.ContextSwitches;
+    uint64_t Copied = R.D.WordsCopied;
+    double Ns = R.Ms * 1e6 / Switches;
     std::printf("Steady-state native switch: %llu switches, %llu words "
                 "copied (%.3f words/switch), %.0f ns/switch.\n",
                 static_cast<unsigned long long>(Switches),

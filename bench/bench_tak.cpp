@@ -8,125 +8,92 @@
 /// call/1cc.  The version using call/1cc is 13% faster than the version
 /// using call/cc and allocates 23% less memory."
 ///
-/// This binary measures tak(18,12,6) in three variants (plain, call/cc,
-/// call/1cc) with wall time plus allocation and copy counters, then prints
-/// the paper-vs-measured summary rows.
+/// This binary measures tak(18,12,6) plain, with call/cc and with call/1cc,
+/// plus Gabriel's ctak (continuations as escapes) with each operator, and
+/// prints time, allocation, copy and invoke counts per run with the
+/// paper-vs-measured summary.  The copy and invoke counts are exact and
+/// gated: the binary aborts if any differs from the value below.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "Workloads.h"
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+#include <cstdio>
+#include <iterator>
+#include <string>
 
 using namespace osc;
 using namespace osc::bench;
 
 namespace {
 
-struct VariantResult {
-  double SecondsPerOp = 0;
-  double BytesPerOp = 0;
-  double WordsCopiedPerOp = 0;
+struct Variant {
+  const char *Name;
+  const char *Call;
+  // Exact counts per run of Call.
+  uint64_t WordsCopied, OneShotInvokes, MultiShotInvokes;
 };
 
-void runTak(benchmark::State &State, const char *Call) {
+// tak-cc and tak-1cc capture and invoke one continuation per call of
+// tak(18,12,6).  Gabriel's ctak invokes every k2 exactly once too, so
+// call/1cc applies; its escapes discard frames rather than returning
+// through a seal.
+const Variant Variants[] = {
+    {"tak-plain", "(tak-plain 18 12 6)", 0, 0, 0},
+    {"call/cc", "(tak-cc 18 12 6)", 526120, 0, 63608},
+    {"call/1cc", "(tak-1cc 18 12 6)", 0, 63608, 0},
+    {"ctak call/cc", "(ctak 18 12 6)", 382455, 0, 47706},
+    {"ctak call/1cc", "(ctak-1cc 18 12 6)", 0, 47706, 0},
+};
+
+struct Result {
+  double MsPerRun, BytesPerRun;
+  uint64_t WordsCopied, OneShotInvokes, MultiShotInvokes; ///< Per run.
+};
+
+Result measure(const Variant &V, int Reps) {
   Interp I;
   mustEval(I, workloads::takVariants());
-  uint64_t Ops = 0;
-  CounterSnapshot Start = CounterSnapshot::take(I);
-  for (auto _ : State) {
-    Value V = mustEval(I, Call);
-    benchmark::DoNotOptimize(V);
-    ++Ops;
-  }
-  CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
-  State.counters["bytes/op"] =
-      benchmark::Counter(static_cast<double>(D.Bytes) / Ops);
-  State.counters["words-copied/op"] =
-      benchmark::Counter(static_cast<double>(D.WordsCopied) / Ops);
-  State.counters["1cc-invokes/op"] =
-      benchmark::Counter(static_cast<double>(D.OneShotInvokes) / Ops);
-  State.counters["cc-invokes/op"] =
-      benchmark::Counter(static_cast<double>(D.MultiShotInvokes) / Ops);
-}
-
-void BM_TakPlain(benchmark::State &State) {
-  runTak(State, "(tak-plain 18 12 6)");
-}
-void BM_TakCallCC(benchmark::State &State) {
-  runTak(State, "(tak-cc 18 12 6)");
-}
-void BM_TakCall1CC(benchmark::State &State) {
-  runTak(State, "(tak-1cc 18 12 6)");
-}
-// Gabriel's ctak (continuations as escapes) for context: here every k2 is
-// invoked exactly once too, so call/1cc applies; escapes discard frames
-// rather than returning through a seal.
-void BM_CtakCallCC(benchmark::State &State) {
-  runTak(State, "(ctak 18 12 6)");
-}
-void BM_CtakCall1CC(benchmark::State &State) {
-  runTak(State, "(ctak-1cc 18 12 6)");
-}
-
-BENCHMARK(BM_TakPlain)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TakCallCC)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TakCall1CC)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CtakCallCC)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CtakCall1CC)->Unit(benchmark::kMillisecond);
-
-/// Re-measures the two continuation variants head-to-head with identical
-/// iteration counts and prints the summary the paper reports.
-void printSummary() {
-  auto Measure = [](const char *Call) {
-    Interp I;
-    mustEval(I, workloads::takVariants());
-    mustEval(I, Call); // Warm up.
-    CounterSnapshot Start = CounterSnapshot::take(I);
-    auto T0 = std::chrono::steady_clock::now();
-    constexpr int Reps = 25;
-    for (int R = 0; R != Reps; ++R)
-      mustEval(I, Call);
-    auto T1 = std::chrono::steady_clock::now();
-    CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
-    VariantResult V;
-    V.SecondsPerOp = std::chrono::duration<double>(T1 - T0).count() / Reps;
-    V.BytesPerOp = static_cast<double>(D.Bytes) / Reps;
-    V.WordsCopiedPerOp = static_cast<double>(D.WordsCopied) / Reps;
-    return V;
-  };
-
-  VariantResult CC = Measure("(tak-cc 18 12 6)");
-  VariantResult OneCC = Measure("(tak-1cc 18 12 6)");
-
-  double SpeedupPct = (CC.SecondsPerOp / OneCC.SecondsPerOp - 1.0) * 100.0;
-  double AllocSavePct = (1.0 - OneCC.BytesPerOp / CC.BytesPerOp) * 100.0;
-
-  std::printf("\n--- E1: tak(18,12,6), one continuation capture+invoke per "
-              "call ---\n");
-  std::printf("%-12s %14s %16s %18s\n", "variant", "time/run (ms)",
-              "alloc/run (KB)", "words copied/run");
-  std::printf("%-12s %14.2f %16.1f %18.0f\n", "call/cc",
-              CC.SecondsPerOp * 1e3, CC.BytesPerOp / 1024.0,
-              CC.WordsCopiedPerOp);
-  std::printf("%-12s %14.2f %16.1f %18.0f\n", "call/1cc",
-              OneCC.SecondsPerOp * 1e3, OneCC.BytesPerOp / 1024.0,
-              OneCC.WordsCopiedPerOp);
-  std::printf("call/1cc speedup over call/cc: %.1f%%   (paper: 13%%)\n",
-              SpeedupPct);
-  std::printf("call/1cc allocation reduction: %.1f%%   (paper: 23%%)\n",
-              AllocSavePct);
+  mustEval(I, V.Call); // Warm up.
+  Run R = timed(I, V.Call, Reps);
+  std::string What = std::string("bench_tak: ") + V.Name;
+  expectCount(What + " words copied", R.D.WordsCopied, V.WordsCopied * Reps);
+  expectCount(What + " one-shot invokes", R.D.OneShotInvokes,
+              V.OneShotInvokes * Reps);
+  expectCount(What + " multi-shot invokes", R.D.MultiShotInvokes,
+              V.MultiShotInvokes * Reps);
+  return {R.Ms / Reps, double(R.D.BytesAllocated) / Reps,
+          R.D.WordsCopied / Reps, R.D.OneShotInvokes / Reps,
+          R.D.MultiShotInvokes / Reps};
 }
 
 } // namespace
 
-int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  printSummary();
+int main() {
+  // The counts are per run and do not depend on the rep count.
+  const int Reps = fastMode() ? 2 : 25;
+  std::printf("--- E1: tak(18,12,6) and ctak(18,12,6), one continuation "
+              "capture+invoke per call, %d runs each ---\n",
+              Reps);
+  std::printf("%-14s %14s %16s %18s %14s %14s\n", "variant", "time/run (ms)",
+              "alloc/run (KB)", "words copied/run", "1cc invokes",
+              "cc invokes");
+  Result Res[std::size(Variants)];
+  for (size_t K = 0; K != std::size(Variants); ++K) {
+    const Variant &V = Variants[K];
+    Res[K] = measure(V, Reps);
+    std::printf("%-14s %14.2f %16.1f %18llu %14llu %14llu\n", V.Name,
+                Res[K].MsPerRun, Res[K].BytesPerRun / 1024.0,
+                static_cast<unsigned long long>(Res[K].WordsCopied),
+                static_cast<unsigned long long>(Res[K].OneShotInvokes),
+                static_cast<unsigned long long>(Res[K].MultiShotInvokes));
+  }
+
+  const Result &CC = Res[1], &OneCC = Res[2];
+  std::printf("call/1cc speedup over call/cc: %.1f%%   (paper: 13%%)\n",
+              (CC.MsPerRun / OneCC.MsPerRun - 1.0) * 100.0);
+  std::printf("call/1cc allocation reduction: %.1f%%   (paper: 23%%)\n",
+              (1.0 - OneCC.BytesPerRun / CC.BytesPerRun) * 100.0);
   return 0;
 }

@@ -28,7 +28,6 @@
 #include "BenchCommon.h"
 #include "Workloads.h"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,16 +51,8 @@ Sample runVariant(const char *Setup, const char *Runner, int Threads,
   std::string Call = "(" + std::string(Runner) + " " +
                      std::to_string(Threads) + " " + std::to_string(FibN) +
                      " " + std::to_string(Interval) + ")";
-  CounterSnapshot Start = CounterSnapshot::take(I);
-  auto T0 = std::chrono::steady_clock::now();
-  mustEval(I, Call);
-  auto T1 = std::chrono::steady_clock::now();
-  CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
-  Sample S;
-  S.Ms = std::chrono::duration<double>(T1 - T0).count() * 1e3;
-  S.WordsCopied = D.WordsCopied;
-  S.Switches = D.OneShotInvokes + D.MultiShotInvokes;
-  return S;
+  Run R = timed(I, Call);
+  return {R.Ms, R.D.WordsCopied, R.D.OneShotInvokes + R.D.MultiShotInvokes};
 }
 
 } // namespace

@@ -13,120 +13,77 @@
 /// Three variants of tak-cc (one capture + one invoke per call):
 ///   disabled  -- trace never started (the default production state)
 ///   enabled   -- ring buffer live, every control event recorded
-///   enabled/wrap -- tiny ring, every emit also evicts (worst case)
+///   wrap-64   -- a 64-event ring, so every emit also evicts (worst case)
+///
+/// The binary aborts unless all three retire the same instructions and
+/// both traced runs emit exactly the control events a run of tak-cc makes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "Workloads.h"
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+#include <cstdio>
 
 using namespace osc;
 using namespace osc::bench;
 
 namespace {
 
-const char *takCall() { return fastMode() ? "(tak-cc 14 10 4)" : "(tak-cc 18 12 6)"; }
+const char *takCall() {
+  return fastMode() ? "(tak-cc 14 10 4)" : "(tak-cc 18 12 6)";
+}
 
-void runTraced(benchmark::State &State, bool Enabled, size_t RingEvents) {
+struct Sample {
+  const char *Name;
+  double MsPerRun = 0;
+  uint64_t InstructionsPerRun = 0;
+  uint64_t EventsPerRun = 0;
+
+  double nsPerInstr() const { return MsPerRun * 1e6 / InstructionsPerRun; }
+};
+
+Sample measure(const char *Name, bool Enabled, uint32_t RingEvents) {
   Config C;
   C.TraceBufferEvents = RingEvents;
   Interp I(C);
   mustEval(I, workloads::takVariants());
   if (Enabled)
     I.trace().start();
-  uint64_t Ops = 0;
-  CounterSnapshot Start = CounterSnapshot::take(I);
-  for (auto _ : State) {
-    Value V = mustEval(I, takCall());
-    benchmark::DoNotOptimize(V);
-    ++Ops;
-  }
-  CounterSnapshot D = Start.delta(CounterSnapshot::take(I));
-  State.counters["instr/op"] =
-      benchmark::Counter(static_cast<double>(D.Instructions) / Ops);
-  State.counters["events/op"] =
-      benchmark::Counter(static_cast<double>(I.trace().emitted()) / Ops);
-}
-
-void BM_TakTraceDisabled(benchmark::State &State) {
-  runTraced(State, /*Enabled=*/false, /*RingEvents=*/1 << 16);
-}
-void BM_TakTraceEnabled(benchmark::State &State) {
-  runTraced(State, /*Enabled=*/true, /*RingEvents=*/1 << 20);
-}
-void BM_TakTraceEnabledTinyRing(benchmark::State &State) {
-  runTraced(State, /*Enabled=*/true, /*RingEvents=*/64);
-}
-
-BENCHMARK(BM_TakTraceDisabled)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TakTraceEnabled)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TakTraceEnabledTinyRing)->Unit(benchmark::kMillisecond);
-
-/// Head-to-head rerun with identical iteration counts, printing the
-/// per-instruction overhead the acceptance criterion is stated in.
-void printSummary() {
-  struct Sample {
-    double SecondsPerOp = 0;
-    uint64_t InstructionsPerOp = 0;
-    uint64_t EventsPerOp = 0;
-  };
-  auto Measure = [](bool Enabled) {
-    Interp I;
-    mustEval(I, workloads::takVariants());
-    if (Enabled)
-      I.trace().start();
-    mustEval(I, takCall()); // Warm up.
-    uint64_t Instr0 = I.snapshot().Instructions;
-    uint64_t Events0 = I.trace().emitted();
-    auto T0 = std::chrono::steady_clock::now();
-    const int Reps = fastMode() ? 5 : 25;
-    for (int R = 0; R != Reps; ++R)
-      mustEval(I, takCall());
-    auto T1 = std::chrono::steady_clock::now();
-    Sample S;
-    S.SecondsPerOp = std::chrono::duration<double>(T1 - T0).count() / Reps;
-    S.InstructionsPerOp = (I.snapshot().Instructions - Instr0) / Reps;
-    S.EventsPerOp = (I.trace().emitted() - Events0) / Reps;
-    return S;
-  };
-
-  Sample Off = Measure(false);
-  Sample On = Measure(true);
-
-  double OffNsPerInstr = Off.SecondsPerOp * 1e9 / Off.InstructionsPerOp;
-  double OnNsPerInstr = On.SecondsPerOp * 1e9 / On.InstructionsPerOp;
-  double EnabledPct = (On.SecondsPerOp / Off.SecondsPerOp - 1.0) * 100.0;
-
-  std::printf("\n--- tracer cost on %s ---\n", takCall());
-  std::printf("%-10s %14s %18s %14s %12s\n", "tracing", "time/run (ms)",
-              "instructions/run", "events/run", "ns/instr");
-  std::printf("%-10s %14.2f %18llu %14llu %12.3f\n", "disabled",
-              Off.SecondsPerOp * 1e3,
-              static_cast<unsigned long long>(Off.InstructionsPerOp),
-              static_cast<unsigned long long>(Off.EventsPerOp), OffNsPerInstr);
-  std::printf("%-10s %14.2f %18llu %14llu %12.3f\n", "enabled",
-              On.SecondsPerOp * 1e3,
-              static_cast<unsigned long long>(On.InstructionsPerOp),
-              static_cast<unsigned long long>(On.EventsPerOp), OnNsPerInstr);
-  std::printf("instructions identical: %s   enabled overhead: %.1f%%\n",
-              Off.InstructionsPerOp == On.InstructionsPerOp ? "yes" : "NO",
-              EnabledPct);
-  if (Off.InstructionsPerOp != On.InstructionsPerOp) {
-    std::printf("FAIL: tracing perturbed the instruction stream\n");
-    std::exit(1);
-  }
+  mustEval(I, takCall()); // Warm up.
+  uint64_t Events0 = I.trace().emitted();
+  const int Reps = fastMode() ? 5 : 25;
+  Run R = timed(I, takCall(), Reps);
+  return {Name, R.Ms / Reps, R.D.Instructions / Reps,
+          (I.trace().emitted() - Events0) / Reps};
 }
 
 } // namespace
 
-int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  printSummary();
+int main() {
+  const Sample Off = measure("disabled", false, Config().TraceBufferEvents);
+  const Sample On = measure("enabled", true, Config().TraceBufferEvents);
+  const Sample Wrap = measure("wrap-64", true, 64);
+
+  std::printf("--- tracer cost on %s ---\n", takCall());
+  std::printf("%-10s %14s %18s %14s %12s\n", "tracing", "time/run (ms)",
+              "instructions/run", "events/run", "ns/instr");
+  for (const Sample &S : {Off, On, Wrap})
+    std::printf("%-10s %14.2f %18llu %14llu %12.3f\n", S.Name, S.MsPerRun,
+                static_cast<unsigned long long>(S.InstructionsPerRun),
+                static_cast<unsigned long long>(S.EventsPerRun),
+                S.nsPerInstr());
+  bool SameInstr = Off.InstructionsPerRun == On.InstructionsPerRun &&
+                   Off.InstructionsPerRun == Wrap.InstructionsPerRun;
+  std::printf("instructions identical: %s   enabled overhead: %.1f%%   "
+              "wrap-64 overhead: %.1f%%\n",
+              SameInstr ? "yes" : "NO",
+              (On.MsPerRun / Off.MsPerRun - 1.0) * 100.0,
+              (Wrap.MsPerRun / Off.MsPerRun - 1.0) * 100.0);
+  if (!SameInstr)
+    oscFatal("bench_trace: tracing perturbed the instruction stream");
+  const uint64_t Events = fastMode() ? 424914 : 1272699;
+  expectCount("bench_trace: enabled events/run", On.EventsPerRun, Events);
+  expectCount("bench_trace: wrap-64 events/run", Wrap.EventsPerRun, Events);
   return 0;
 }

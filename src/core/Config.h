@@ -88,8 +88,9 @@ struct Config {
   /// When false, the scheduler's context-switch captures use multi-shot
   /// continuations (capture is still cheap; every *reinstatement* copies
   /// the suspended stack back word by word).  This is the call/cc baseline
-  /// column in bench_serve — the paper's Figure 5 comparison applied to
-  /// I/O parking.  Leave true for the real system.
+  /// of Serve.MultiShotBaselineCopiesOnEveryPark and bench_regex's
+  /// stream-copying-shim column — the paper's Figure 5 comparison applied
+  /// to parking.  Leave true for the real system.
   bool SchedOneShotSwitch = true;
   /// When true (and the compiler supports computed goto) the VM dispatch
   /// loop is token-threaded: one indirect branch per handler instead of

@@ -40,7 +40,8 @@
 ///
 /// Stats: each worker owns its Stats; Pool::snapshot() sums per-worker
 /// Snapshots, so throughput and the zero-copy invariant can be checked per
-/// shard or for the whole pool (bench/bench_pool.cpp does both).
+/// shard or for the whole pool (tests/test_pool.cpp's PingBurst checks per
+/// shard, perfbench's serving workloads the whole pool).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,10 +68,6 @@ class ConnQueue;
 
 class Pool {
 public:
-  /// Deprecated alias, kept for one release: the pool now shares one
-  /// options surface with Server.
-  using Options [[deprecated("use osc::ServeOptions")]] = ServeOptions;
-
   explicit Pool(ServeOptions O);
   ~Pool();
   Pool(const Pool &) = delete;

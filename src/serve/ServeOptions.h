@@ -10,9 +10,6 @@
 /// are documented as such and ignored by Server; everything else applies
 /// to both (per shard, in the pool's case).
 ///
-/// The old per-class `Server::Options` / `Pool::Options` names remain as
-/// deprecated aliases of this struct for one release.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef OSC_SERVE_SERVEOPTIONS_H

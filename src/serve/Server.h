@@ -50,12 +50,6 @@ namespace osc {
 
 class Server {
 public:
-  /// Deprecated alias, kept for one release: the server now shares one
-  /// options surface with Pool.  A Server is behaviorally a 1-worker
-  /// pool, so the pool-only knobs (Workers, Mode, MaxWorkerRestarts,
-  /// Program, TraceWorkers) are simply ignored here.
-  using Options [[deprecated("use osc::ServeOptions")]] = ServeOptions;
-
   explicit Server(ServeOptions O) : Opt(std::move(O)) {}
   ~Server();
   Server(const Server &) = delete;

@@ -587,7 +587,7 @@ TEST(ControlRepresentation, SteadyStatePerformCopiesZeroWords) {
   // perform-and-resume round trip cuts the slice to the handler's mark by
   // header relinking and splices it back with a link store — no stack
   // words move, nothing is cloned.  bench_control quantifies the same
-  // loop; tools/bench_gate.py enforces it on every bench run.
+  // loop and aborts if it copies a word.
   Interp I;
   ASSERT_TRUE(I.eval("(define (burst n)"
                      "  (with-handler 'tick ((tick k) (k #t))"

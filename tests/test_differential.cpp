@@ -632,8 +632,11 @@ std::string readFile(const std::string &Path) {
   return SS.str();
 }
 
+// The file name is a std::string, not a const char *: gtest prints a
+// pointer parameter with its address, which ASLR changes on every run,
+// and ctest bakes the printed parameter into each test's name.
 class DifferentialExamples
-    : public ::testing::TestWithParam<std::tuple<const char *, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
 
 TEST_P(DifferentialExamples, OneShotEqualsMultiShot) {
   auto [File, CfgIdx] = GetParam();
@@ -647,11 +650,11 @@ TEST_P(DifferentialExamples, OneShotEqualsMultiShot) {
   EXPECT_EQ(Native, Shimmed) << File << " under config " << CP.Name;
 }
 
-const char *ExampleFiles[] = {"samefringe.scm", "queens.scm",
-                              "fib-threads.scm", "chan-pipeline.scm"};
+const std::string ExampleFiles[] = {"samefringe.scm", "queens.scm",
+                                    "fib-threads.scm", "chan-pipeline.scm"};
 
 std::string exampleName(
-    const ::testing::TestParamInfo<std::tuple<const char *, size_t>> &Info) {
+    const ::testing::TestParamInfo<std::tuple<std::string, size_t>> &Info) {
   auto [File, CfgIdx] = Info.param;
   std::string N = File;
   N = N.substr(0, N.find('.'));

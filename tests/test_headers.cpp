@@ -36,28 +36,6 @@ TEST(Headers, ServeOptionsIsTheOneOptionsSurface) {
   EXPECT_STREQ(listenModeName(ListenMode::CentralAcceptor), "central");
 }
 
-TEST(Headers, DeprecatedOptionsAliasesStillCompile) {
-  // The pre-ServeOptions spellings must keep working for one release:
-  // same struct, same fields, constructible into either front.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  static_assert(std::is_same_v<Server::Options, ServeOptions>);
-  static_assert(std::is_same_v<Pool::Options, ServeOptions>);
-  Server::Options SO;
-  SO.MaxInflight = 8;
-  Pool::Options PO;
-  PO.Workers = 2;
-  static_assert(std::is_constructible_v<Server, Server::Options>);
-  static_assert(std::is_constructible_v<Pool, Pool::Options>);
-  EXPECT_EQ(SO.MaxInflight, 8);
-  EXPECT_EQ(PO.Workers, 2);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-}
-
 TEST(Headers, ErrorKindNamesAreStable) {
   EXPECT_STREQ(errorKindName(ErrorKind::None), "ok");
   EXPECT_STREQ(errorKindName(ErrorKind::Parse), "parse");
