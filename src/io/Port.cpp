@@ -5,6 +5,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,6 +17,10 @@ namespace {
 std::string errnoMessage(const char *What) {
   return std::string(What) + ": " + std::strerror(errno);
 }
+
+/// The peer tore the connection down under us: a reset on read, or a
+/// write into a socket whose peer is gone.
+bool peerReset(int E) { return E == ECONNRESET || E == EPIPE; }
 
 } // namespace
 
@@ -71,7 +76,7 @@ Port::Io Port::fillInput(uint64_t &BytesIn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK)
       return Moved ? Io::Progress : Io::WouldBlock;
     Err = errnoMessage("read");
-    return Io::Error;
+    return peerReset(errno) ? Io::Reset : Io::Error;
   }
 }
 
@@ -89,28 +94,37 @@ Port::Io Port::flushOutput(uint64_t &BytesOut) {
     }
     if (N < 0 && errno == EINTR)
       continue;
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      FlushBlocked = true;
       return Io::WouldBlock;
+    }
     Err = errnoMessage("write");
-    return Io::Error;
+    return peerReset(errno) ? Io::Reset : Io::Error;
   }
+  FlushBlocked = false;
   return Io::Progress;
 }
 
 int Port::acceptConn() {
   if (closed())
     return -2;
+  return acceptConnection(Fd, Err);
+}
+
+int osc::acceptConnection(int ListenFd, std::string &Err) {
   for (;;) {
-    int NewFd = ::accept(Fd, nullptr, nullptr);
+    int NewFd = ::accept(ListenFd, nullptr, nullptr);
     if (NewFd >= 0) {
       if (!makeNonBlocking(NewFd)) {
-        ::close(NewFd);
         Err = errnoMessage("fcntl");
+        ::close(NewFd);
         return -2;
       }
+      int One = 1; // Fails harmlessly (EOPNOTSUPP) on a non-TCP listener.
+      ::setsockopt(NewFd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof One);
       return NewFd;
     }
-    if (errno == EINTR)
+    if (errno == EINTR || errno == ECONNABORTED)
       continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK)
       return -1;
@@ -122,8 +136,8 @@ int Port::acceptConn() {
 void Port::closeNow() {
   if (Fd < 0)
     return;
-  // Best-effort flush: io-write only leaves bytes here while a writer is
-  // parked mid-flush, but a drop-what-fits attempt costs nothing.
+  // Best-effort flush: io-close writes out queued output before it gets
+  // here, so only a reaped port (or a dying interpreter) drops bytes.
   if (!OutBuf.empty()) {
     uint64_t Ignored = 0;
     flushOutput(Ignored);

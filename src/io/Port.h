@@ -39,6 +39,8 @@ public:
     Progress,   ///< Bytes moved (or nothing was pending).
     WouldBlock, ///< The fd is not ready; retry on readiness.
     Eof,        ///< Peer closed its end (reads only).
+    Reset,      ///< The peer reset the connection (ECONNRESET / EPIPE);
+                ///< lastError() has the message.
     Error,      ///< Hard failure; lastError() has the message.
   };
 
@@ -96,6 +98,9 @@ public:
     return true;
   }
   bool outputPending() const { return !OutBuf.empty(); }
+  /// True while the output buffer holds bytes that the last flushOutput
+  /// could not write (the fd would block).
+  bool flushBlocked() const { return FlushBlocked && !OutBuf.empty(); }
 
   /// Hard cap in bytes on buffered output; 0 disables.
   void setOutputCap(size_t Bytes) { OutCap = Bytes; }
@@ -111,14 +116,15 @@ public:
   void setDeadlineTicks(uint64_t T) { DeadlineTicks = T; }
   uint64_t deadlineTicks() const { return DeadlineTicks; }
 
-  /// Writes as much of the output buffer as the fd accepts right now.
-  /// \p BytesOut is incremented by the bytes moved.
+  /// Writes as much of the output buffer as the fd accepts right now, in
+  /// one write(2) unless the kernel takes only part of it.  \p BytesOut is
+  /// incremented by the bytes moved.
   Io flushOutput(uint64_t &BytesOut);
 
   // --- Listener --------------------------------------------------------------
 
-  /// Accepts one pending connection.  Returns the new non-blocking fd,
-  /// -1 when none is pending (would block), -2 on a hard error.
+  /// Accepts one pending connection (see acceptConnection).  Returns the
+  /// new fd, -1 when none is pending (would block), -2 on a hard error.
   int acceptConn();
 
   /// Flushes best-effort, then closes the fd.  Idempotent; buffered input
@@ -134,6 +140,7 @@ private:
   std::string InBuf;
   std::string OutBuf;
   std::string Err;
+  bool FlushBlocked = false;   ///< The last flushOutput would block.
   size_t OutCap = 0;           ///< Output-buffer hard cap; 0 = unbounded.
   uint64_t DeadlineTicks = 0;  ///< Per-park deadline distance; 0 = none.
 };
@@ -157,6 +164,16 @@ bool openSocketPairFds(int &A, int &B, std::string &Err);
 /// fails rather than silently binding exclusively.
 int openListener(uint16_t &Port, int Backlog, std::string &Err,
                  bool ReusePort = false);
+
+/// Accepts one pending connection on the listening socket \p ListenFd.
+/// The new fd comes back non-blocking and, for TCP, with TCP_NODELAY set:
+/// replies are already coalesced into one write per port per reactor
+/// turn, so Nagle would only hold the last segment back until the peer's
+/// delayed ACK.  Returns -1 when nothing is pending (or the arrival was
+/// aborted), -2 on a hard error with \p Err set.  Every socket the system
+/// accepts itself goes through here; fds a host hands over keep the
+/// options the host set.
+int acceptConnection(int ListenFd, std::string &Err);
 
 /// *Blocking* loopback TCP connect — the host-side client half used by
 /// tests and benchmarks, never by the VM.  Returns the fd or -1.

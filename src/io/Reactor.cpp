@@ -21,6 +21,10 @@ const char *osc::ioOpName(IoOp Op) {
     return "take-conn";
   case IoOp::Timer:
     return "timer";
+  case IoOp::Flush:
+    return "flush";
+  case IoOp::Close:
+    return "close";
   }
   return "?";
 }
@@ -60,17 +64,6 @@ bool Reactor::hasWaiter(IoOp Op) const {
     if (W.Op == Op)
       return true;
   return false;
-}
-
-bool Reactor::enableWakeup(std::string &Err) {
-  if (WakePortId >= 0)
-    return true;
-  int ReadFd = -1, WriteFd = -1;
-  if (!openPipePair(ReadFd, WriteFd, Err))
-    return false;
-  WakePortId = addPort(ReadFd, Port::Kind::Wakeup);
-  WakeWriteFd = WriteFd;
-  return true;
 }
 
 bool Reactor::enableWakeupFrom(int ReadFd, int WriteFd, std::string &Err) {
@@ -125,6 +118,13 @@ void Reactor::park(uint32_t Tid, uint32_t PortId, IoOp Op,
   Waiters.push_back({NextSeq++, Tid, PortId, Op, DeadlineTick, ParkSeq});
 }
 
+void Reactor::parkFlush(uint32_t PortId) {
+  for (const PendingIo &W : Waiters)
+    if (W.Op == IoOp::Flush && W.PortId == PortId)
+      return;
+  Waiters.push_back({NextSeq++, PendingIo::NoThread, PortId, IoOp::Flush});
+}
+
 void Reactor::parkTimer(uint32_t Tid, uint64_t DeadlineTick, uint64_t ParkSeq) {
   Waiters.push_back(
       {NextSeq++, Tid, PendingIo::NoPort, IoOp::Timer, DeadlineTick, ParkSeq});
@@ -162,7 +162,7 @@ std::vector<PendingIo> Reactor::takeReady(int TimeoutMs,
       AnyClosed = true;
       continue;
     }
-    short Ev = Waiters[I].Op == IoOp::Write ? POLLOUT : POLLIN;
+    short Ev = ioOpWrites(Waiters[I].Op) ? POLLOUT : POLLIN;
     auto It = std::find_if(Pfds.begin(), Pfds.end(),
                            [&](const pollfd &F) { return F.fd == P->fd(); });
     if (It == Pfds.end()) {
@@ -198,7 +198,7 @@ std::vector<PendingIo> Reactor::takeReady(int TimeoutMs,
                              [&](const pollfd &F) { return F.fd == P->fd(); });
       if (It == Pfds.end())
         continue;
-      short Want = Waiters[I].Op == IoOp::Write ? POLLOUT : POLLIN;
+      short Want = ioOpWrites(Waiters[I].Op) ? POLLOUT : POLLIN;
       // Error/hangup means the operation can finish too — with an
       // EOF/error result rather than bytes.
       if (It->revents & (Want | POLLERR | POLLHUP | POLLNVAL))
@@ -235,14 +235,30 @@ std::vector<PendingIo> Reactor::takeReady(int TimeoutMs,
   return Ready;
 }
 
-std::vector<PendingIo> Reactor::takeWaitersFor(uint32_t PortId) {
+namespace {
+
+/// Moves the waiters matching \p Take out of \p Waiters, in Seq order.
+template <typename Pred>
+std::vector<PendingIo> takeWaitersIf(std::vector<PendingIo> &Waiters,
+                                     Pred Take) {
   std::vector<PendingIo> Out, Rest;
   for (const PendingIo &W : Waiters)
-    (W.PortId == PortId ? Out : Rest).push_back(W);
+    (Take(W) ? Out : Rest).push_back(W);
   Waiters = std::move(Rest);
   std::sort(Out.begin(), Out.end(),
             [](const PendingIo &A, const PendingIo &B) { return A.Seq < B.Seq; });
   return Out;
+}
+
+} // namespace
+
+std::vector<PendingIo> Reactor::takeWaitersFor(uint32_t PortId) {
+  return takeWaitersIf(Waiters,
+                       [PortId](const PendingIo &W) { return W.PortId == PortId; });
+}
+
+std::vector<PendingIo> Reactor::takeWaitersDoing(IoOp Op) {
+  return takeWaitersIf(Waiters, [Op](const PendingIo &W) { return W.Op == Op; });
 }
 
 void Reactor::dropWaitersFor(uint32_t Tid) {

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace osc {
@@ -41,9 +42,17 @@ enum class IoOp : uint8_t {
             ///< parks on the wakeup port, not on a connection fd.
   Timer,    ///< fd-less deadline waiter (channel block under with-deadline);
             ///< never fd-ready, only ever expires.
+  Flush,    ///< Thread-less: a port whose queued output would not fit the
+            ///< socket; completes by writing it once the fd is writable.
+  Close,    ///< io-close: the output buffer flushed, then the port closed.
 };
 
 const char *ioOpName(IoOp Op);
+
+/// True for the operations that wait for POLLOUT.
+inline bool ioOpWrites(IoOp Op) {
+  return Op == IoOp::Write || Op == IoOp::Flush || Op == IoOp::Close;
+}
 
 /// One parked operation: which thread, which port, what it waits for, and
 /// the registration sequence number that breaks wake-order ties.  A re-park
@@ -67,6 +76,8 @@ struct PendingIo {
 
   /// PortId of fd-less Timer waiters.
   static constexpr uint32_t NoPort = 0xffffffffu;
+  /// Tid of thread-less Flush waiters.
+  static constexpr uint32_t NoThread = 0xffffffffu;
 };
 
 class Reactor {
@@ -106,6 +117,10 @@ public:
   /// Registers an fd-less Timer waiter for a thread blocked outside the
   /// reactor (channel wait under with-deadline).
   void parkTimer(uint32_t Tid, uint64_t DeadlineTick, uint64_t ParkSeq);
+  /// Registers a thread-less Flush waiter on \p PortId unless one is
+  /// already there.  It has no deadline: the port's parked reader or
+  /// writer carries the slow-client deadline.
+  void parkFlush(uint32_t PortId);
   /// Re-registers \p P unchanged (original Seq, original deadline) after a
   /// readiness event that did not complete the operation.
   void repark(const PendingIo &P) { Waiters.push_back(P); }
@@ -147,6 +162,8 @@ public:
   /// Removes-and-returns every waiter parked on \p PortId, in Seq order —
   /// io-close uses this to wake them before the fd goes away.
   std::vector<PendingIo> takeWaitersFor(uint32_t PortId);
+  /// Removes-and-returns every waiter doing \p Op, in Seq order.
+  std::vector<PendingIo> takeWaitersDoing(IoOp Op);
 
   /// Silently discards every waiter belonging to thread \p Tid (fd waits
   /// and Timer waiters alike).  Thread cancellation uses this: the thread
@@ -156,6 +173,18 @@ public:
 
   /// Drops all waiters (scheduler abort; parked threads are gone).
   void clearWaiters() { Waiters.clear(); }
+
+  // --- Unsent output ---------------------------------------------------------
+  //
+  // Inside a green thread io-write only appends to the port's output
+  // buffer; the VM writes every listed port out at its flush points (see
+  // VM::ioFlushUnsent), one write(2) per port however many replies it
+  // holds.  A port is listed when its buffer goes from empty to non-empty,
+  // so each appears at most once, in the order it was first written.
+
+  void markUnsent(uint32_t PortId) { Unsent.push_back(PortId); }
+  bool hasUnsent() const { return !Unsent.empty(); }
+  std::vector<uint32_t> takeUnsent() { return std::exchange(Unsent, {}); }
 
   // --- Cross-thread wakeup (self-pipe) --------------------------------------
   //
@@ -167,11 +196,7 @@ public:
   // Reactor entry point that is safe from other threads — makes it
   // readable by writing one byte to the write end.
 
-  /// Creates the self-pipe and its Wakeup port.  Idempotent.  Returns
-  /// false and sets \p Err on failure.
-  bool enableWakeup(std::string &Err);
-
-  /// Like enableWakeup, but over a pipe the *host* owns: both fds are
+  /// Creates the Wakeup port over a pipe the *host* owns: both fds are
   /// dup(2)'d into the reactor (the Wakeup port adopts the duped read
   /// end, the duped write end backs notify()), so the pipe itself
   /// outlives this reactor.  The serving pool uses this to keep one
@@ -190,13 +215,15 @@ public:
   /// after the check is never lost).
   void drainWakeup();
 
-  /// Port id of the Wakeup port, or -1 when enableWakeup was never called.
+  /// Port id of the Wakeup port, or -1 when enableWakeupFrom was never
+  /// called.
   int64_t wakeupPortId() const { return WakePortId; }
 
 private:
   std::vector<std::unique_ptr<Port>> Ports; ///< Index == port id.
   size_t DefaultOutCap = 0; ///< queueOutput cap stamped on new ports.
   std::vector<PendingIo> Waiters;
+  std::vector<uint32_t> Unsent; ///< Ports with queued, unflushed output.
   uint64_t NextSeq = 0;
   uint64_t NowTick = 0; ///< Virtual tick clock; +1 per takeReady batch.
   int TickMs = 5;       ///< Wall-ms clamp per batch when deadlines armed.

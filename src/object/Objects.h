@@ -215,6 +215,7 @@ enum class NativeSpecial : uint8_t {
   IoAccept,       ///< %io-accept — may park until a connection arrives
   IoTakeConn,     ///< %io-take-conn — may park until the pool hands off a
                   ///< connection (or its ConnQueue closes)
+  IoClose,        ///< %io-close — may park until queued output drains
   // Delimited control (src/control): prompts and slices manipulate the
   // continuation chain directly, so like call/1cc they run in the dispatch
   // loop rather than as plain natives.

@@ -315,13 +315,10 @@ void Pool::acceptLoop() {
     bool Any = false;
     bool Dead = false;
     for (;;) {
-      int Fd = ::accept(ListenFd, nullptr, nullptr);
+      std::string E;
+      int Fd = acceptConnection(ListenFd, E);
       if (Fd < 0) {
-        if (errno == EINTR || errno == ECONNABORTED)
-          continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-          break;
-        Dead = true; // Listener gone or unrecoverable.
+        Dead = Fd == -2; // Listener gone or unrecoverable.
         break;
       }
       int N = leastLoaded();

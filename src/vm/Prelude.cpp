@@ -190,17 +190,23 @@ const char *osc::preludeSource() {
 ;; --- ports and the I/O reactor (src/io) --------------------------------------
 ;;
 ;; Port handles are fixnums like threads and channels.  Inside a green
-;; thread, io-read-line / io-write / io-accept park the thread on fd
-;; readiness (a one-shot capture; resuming copies no stack words); outside
-;; the scheduler they block the whole program.  io-read-line returns the
-;; EOF object at end of stream, io-accept returns it when the listener is
-;; closed, and channel-recv returns it on a closed, drained channel.
+;; thread, io-read-line / io-accept park the thread on fd readiness (a
+;; one-shot capture; resuming copies no stack words); outside the
+;; scheduler they block the whole program.  io-write inside a thread
+;; queues its string and returns: the VM writes each port's queued output
+;; in one go once the run queue drains (or at a preemptive switch), and
+;; only a writer whose port is still full from an earlier flush parks.
+;; io-close writes what is queued first, parking while the socket is
+;; full.  io-read-line returns the EOF object at end of stream, io-accept
+;; returns it when the listener is closed, and channel-recv returns it on
+;; a closed, drained channel.
 
 (define (eof-object) *eof*)
 (define (eof-object? x) (eq? x *eof*))
 (define (io-read-line p) (%io-read-line p))
 (define (io-write p s) (%io-write p s))
 (define (io-accept p) (%io-accept p))
+(define (io-close p) (%io-close p))
 
 ;; Pool workers take handed-off connections instead of accepting their own:
 ;; io-take-conn parks until the host pushes an fd onto this worker's handoff

@@ -906,8 +906,8 @@ Value primChanClosedP(VM &Vm, Value *A, uint32_t) {
 //
 // Port handles are fixnum ids into the reactor's table, mirroring thread
 // and channel handles.  The blocking operations (%io-read-line, %io-write,
-// %io-accept) are specials dispatched in the VM loop; everything below
-// never parks and runs as an ordinary native.
+// %io-accept, %io-close) are specials dispatched in the VM loop;
+// everything below never parks and runs as an ordinary native.
 
 Value primOpenPipe(VM &Vm, Value *, uint32_t) {
   int R = -1, W = -1;
@@ -955,13 +955,6 @@ Value primIoTcpPort(VM &Vm, Value *A, uint32_t) {
   if (!P)
     return Value::unspecified();
   return Value::fixnum(P->tcpPort());
-}
-Value primIoClose(VM &Vm, Value *A, uint32_t) {
-  Port *P = portArg(Vm, "io-close", A[0]);
-  if (!P)
-    return Value::unspecified();
-  Vm.ioClosePort(P);
-  return Value::unspecified();
 }
 Value primIoClosedP(VM &Vm, Value *A, uint32_t) {
   Port *P = portArg(Vm, "io-closed?", A[0]);
@@ -1112,6 +1105,7 @@ static const NativeDef SpecialDefs[] = {
     {"%io-write", noFn, 2, 2, NativeSpecial::IoWrite},
     {"%io-accept", noFn, 1, 1, NativeSpecial::IoAccept},
     {"%io-take-conn", noFn, 0, 0, NativeSpecial::IoTakeConn},
+    {"%io-close", noFn, 1, 1, NativeSpecial::IoClose},
     // Delimited control (src/control): tagged prompts and one-shot slices.
     {"%reset", noFn, 2, 2, NativeSpecial::Reset},
     {"%shift", noFn, 2, 2, NativeSpecial::Shift},
@@ -1284,7 +1278,6 @@ static const NativeDef PrimDefs[] = {
     {"open-socketpair", primOpenSocketpair, 0, 0},
     {"io-listen", primIoListen, 0, 1},
     {"io-tcp-port", primIoTcpPort, 1, 1},
-    {"io-close", primIoClose, 1, 1},
     {"io-closed?", primIoClosedP, 1, 1},
     {"io-try-accept", primIoTryAccept, 1, 1},
     {"string->datum", primStringToDatum, 1, 1},

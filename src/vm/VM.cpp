@@ -300,8 +300,11 @@ bool VM::enterClosure(Closure *Cl, uint32_t NArgs, bool ArityChecked) {
       enterCall(Handler, {K, Value::unspecified()}, Site{SiteKind::Tail, 0});
     } else if (Sched->inThread()) {
       // Scheduler: same capture, but the VM parks the thread and
-      // reinstates the next one directly — no Scheme handler runs.
+      // reinstates the next one directly — no Scheme handler runs.  A
+      // thread that computes past its slice must not hold back queued
+      // replies (its own or other threads'), so they go out first.
       S.PreemptiveSwitches += 1;
+      ioFlushUnsent();
       Value K = schedCapture(CS.Top, CurCodeVal, 1);
       schedSuspendAndDispatch(K, Value::unspecified(), ThreadState::Ready);
     }
@@ -874,6 +877,9 @@ void VM::enterCall(Value Callee, std::vector<Value> Args, Site St) {
       case NativeSpecial::IoTakeConn:
         ioTakeConn(St);
         return;
+      case NativeSpecial::IoClose:
+        ioClose(Args[0], St);
+        return;
       case NativeSpecial::Reset:
         doReset(Args[0], Args[1], St);
         return;
@@ -964,6 +970,13 @@ void VM::schedSuspendAndDispatch(Value K, Value Wake, ThreadState NewState) {
 
 void VM::schedDispatch() {
   for (;;) {
+    // An empty run queue means the shard has nothing left to run: this
+    // turn's queued output goes out now, before the reactor polls,
+    // sleepers fast-forward or scheduler-run returns.  The flush point
+    // follows the run queue, never the clock, so traces stay
+    // deterministic.
+    if (Sched->readyCount() == 0 && Rx->hasUnsent())
+      ioFlushUnsent();
     Scheduler::Next N = Sched->pickNext();
     switch (N.K) {
     case Scheduler::Next::Start: {
@@ -1044,7 +1057,11 @@ void VM::schedDispatch() {
     }
     case Scheduler::Next::Finish: {
       // Every thread completed: resume the suspended caller of
-      // scheduler-run with the number of threads that ran.
+      // scheduler-run with the number of threads that ran.  The main
+      // computation writes through, so output a full socket held back
+      // goes out first.
+      if (!ioFlushBlocking())
+        return;
       S.ContextSwitches += 1;
       Value K = Sched->mainK();
       Value Count = Value::fixnum(static_cast<int64_t>(Sched->completed()));
@@ -1062,8 +1079,8 @@ void VM::schedDispatch() {
         // Not a structural deadlock: threads are parked on fd readiness,
         // which an external peer (or another port in this program) can
         // still provide.  Block in poll(2) until one wakes.
-        if (ioPollAndWake(Cfg.IoPollTimeoutMs))
-          continue;
+        if (ioPollAndWake(Cfg.IoPollTimeoutMs) || Rx->waiterCount() == 0)
+          continue; // Woken, or only Flush waiters were left and drained.
         if (ConnQ && !ConnQ->closed() && Rx->hasWaiter(IoOp::TakeConn)) {
           // A pool worker idling on io-take-conn is not stuck: the accept
           // thread can hand off a connection at any time.  Outwait the
@@ -1191,9 +1208,23 @@ Value VM::spawnThread(Value Thunk) {
   Value N = NurserySym->Global;
   T->Ctx.Nursery = N;
   if (auto *Rec = dynObj<Vector>(N);
-      Rec && Rec->Len >= 3 && Rec->Elems[2].isTrue())
+      Rec && Rec->Len >= 3 && Rec->Elems[2].isTrue()) {
+    // The scope keeps only its live children: finished ones are unlinked
+    // in place (no allocation) before the new child is consed on, so a
+    // long-lived connection's list does not grow with the requests it has
+    // served.  Cancelling a Done thread is a no-op, so the scope's exit
+    // behaves exactly as if they were still listed.
+    Value *Link = &Rec->Elems[0];
+    while (auto *Pr = dynObj<Pair>(*Link)) {
+      Scheduler::Thread *C = Sched->lookup(Pr->Car.asFixnum());
+      if (C && C->State == ThreadState::Done)
+        *Link = Pr->Cdr;
+      else
+        Link = &Pr->Cdr;
+    }
     Rec->Elems[0] =
         Value::object(H.allocPair(Value::fixnum(Tid), Rec->Elems[0]));
+  }
   return Value::fixnum(Tid);
 }
 
@@ -1372,7 +1403,13 @@ void VM::ioReadLine(Value PortV, Site St) {
     uint64_t NIn = 0;
     Port::Io R = P->fillInput(NIn);
     S.BytesRead += NIn;
-    if (R == Port::Io::Error) {
+    if (R == Port::Io::Reset && Sched->inThread()) {
+      // A peer reset ends the connection, not the run: reap the port and
+      // let takeLine hand out what is buffered, then EOF.
+      ioDropPort(P, /*Reason=*/2);
+      continue;
+    }
+    if (R == Port::Io::Error || R == Port::Io::Reset) {
       fail("io-read-line: port " + std::to_string(P->id()) + ": " +
                P->lastError(),
            ErrorKind::Io);
@@ -1403,7 +1440,25 @@ void VM::ioWrite(Value PortV, Value StrV, Site St) {
     fail("io-write: not a string: " + writeToString(StrV));
     return;
   }
-  if (!P->queueOutput(Str->view())) {
+  if (P->closed() && Sched->inThread()) {
+    // The connection is gone (reaped, reset or closed under us): this
+    // writer sees #f, like one that was parked when the port dropped.
+    nativeReturn(Value::boolean(false), St);
+    return;
+  }
+  // Inside a thread the string is only queued: the port is written once
+  // per flush point however many replies it holds.  A writer whose port
+  // is still full from an earlier flush parks as below instead.
+  bool Queue = Sched->inThread() && !P->flushBlocked();
+  bool WasIdle = !P->outputPending();
+  bool Queued = P->queueOutput(Str->view());
+  if (!Queued && Queue && !WasIdle) {
+    // Output queued this turn was never offered to the peer: write it
+    // before judging the peer slow.
+    ioFlush(P);
+    Queued = !P->closed() && P->queueOutput(Str->view());
+  }
+  if (!Queued) {
     // The bounded output buffer is full: the peer is not draining what we
     // already owe it.  Buffering without bound would let one slow client
     // hold arbitrary memory, so the connection is dropped instead; the
@@ -1411,6 +1466,12 @@ void VM::ioWrite(Value PortV, Value StrV, Site St) {
     // outcome, not a run error).
     ioDropPort(P, /*Reason=*/0);
     nativeReturn(Value::boolean(false), St);
+    return;
+  }
+  if (Queue && !P->flushBlocked()) {
+    if (WasIdle)
+      Rx->markUnsent(P->id());
+    nativeReturn(Value::unspecified(), St);
     return;
   }
   for (;;) {
@@ -1421,7 +1482,12 @@ void VM::ioWrite(Value PortV, Value StrV, Site St) {
       nativeReturn(Value::unspecified(), St);
       return;
     }
-    if (R == Port::Io::Error) {
+    if (R == Port::Io::Reset && Sched->inThread()) {
+      ioDropPort(P, /*Reason=*/2);
+      nativeReturn(Value::boolean(false), St);
+      return;
+    }
+    if (R == Port::Io::Error || R == Port::Io::Reset) {
       fail("io-write: port " + std::to_string(P->id()) + ": " +
                P->lastError(),
            ErrorKind::Io);
@@ -1472,13 +1538,6 @@ void VM::ioAccept(Value PortV, Site St) {
       return;
     }
   }
-}
-
-bool VM::attachConnQueue(ConnQueue *Q, std::string &Err) {
-  if (Q && !Rx->enableWakeup(Err))
-    return false;
-  ConnQ = Q;
-  return true;
 }
 
 bool VM::attachConnQueue(ConnQueue *Q, int WakeReadFd, int WakeWriteFd,
@@ -1540,10 +1599,19 @@ void VM::ioTakeConn(Site St) {
 }
 
 bool VM::ioComplete(const PendingIo &P) {
+  Port *Pt = Rx->port(P.PortId);
+  if (P.Op == IoOp::Flush) {
+    // No thread waits on a flush.  It reports a wake only when a failed
+    // write reaped the port, which may have woken the port's waiters.
+    if (!ioFlush(Pt)) {
+      Rx->repark(P);
+      return false;
+    }
+    return Pt->closed();
+  }
   Scheduler::Thread *T = Sched->lookup(P.Tid);
   if (!T || T->State != ThreadState::Blocked)
     return false; // Stale waiter (its thread was dropped by an abort).
-  Port *Pt = Rx->port(P.PortId);
 
   auto WakeWith = [&](Value V) {
     S.IoWakes += 1;
@@ -1572,6 +1640,11 @@ bool VM::ioComplete(const PendingIo &P) {
       return WakeWith(Value::object(H.allocString(Line)));
     if (R == Port::Io::Eof)
       return WakeWith(EofObj); // No terminated tail either: end of stream.
+    if (R == Port::Io::Reset) {
+      Rx->repark(P); // Rejoin the port's waiter list; the drop wakes it.
+      ioDropPort(Pt, /*Reason=*/2);
+      return true;
+    }
     if (R == Port::Io::Error)
       return Poison("io-read-line: port " + std::to_string(Pt->id()) + ": " +
                     Pt->lastError());
@@ -1587,12 +1660,24 @@ bool VM::ioComplete(const PendingIo &P) {
     S.BytesWritten += NOut;
     if (R == Port::Io::Progress)
       return WakeWith(Value::unspecified());
+    if (R == Port::Io::Reset) {
+      Rx->repark(P);
+      ioDropPort(Pt, /*Reason=*/2);
+      return true;
+    }
     if (R == Port::Io::Error)
       return Poison("io-write: port " + std::to_string(Pt->id()) + ": " +
                     Pt->lastError());
     Rx->repark(P);
     return false;
   }
+  case IoOp::Close:
+    if (!Pt->closed() && !ioFlush(Pt)) {
+      Rx->repark(P);
+      return false;
+    }
+    ioClosePort(Pt); // Wakes whoever else waits on the port.
+    return WakeWith(Value::unspecified());
   case IoOp::Accept: {
     if (Pt->closed())
       return WakeWith(EofObj);
@@ -1627,6 +1712,9 @@ bool VM::ioComplete(const PendingIo &P) {
     Rx->repark(P); // Spurious wakeup (another waiter won the race).
     return false;
   }
+  case IoOp::Timer: // Never fd-ready; only ever expires.
+  case IoOp::Flush: // Handled above.
+    break;
   }
   oscUnreachable("bad IoOp");
 }
@@ -1764,6 +1852,8 @@ void VM::ioDropPort(Port *P, uint64_t Reason) {
               W.Tid);
     if (W.Op == IoOp::Write) {
       Sched->wake(*T, Value::boolean(false));
+    } else if (W.Op == IoOp::Close) {
+      Sched->wake(*T, Value::unspecified());
     } else {
       std::string Line;
       Sched->wake(*T, P->takeLine(Line) ? Value::object(H.allocString(Line))
@@ -1849,6 +1939,57 @@ void VM::ioClosePort(Port *P) {
   // was stale and its thread already gone).
   for (const PendingIo &W : Ws)
     ioComplete(W);
+}
+
+void VM::ioClose(Value PortV, Site St) {
+  Port *P = PortV.isFixnum() ? Rx->port(PortV.asFixnum()) : nullptr;
+  if (!P) {
+    fail("io-close: not a port: " + writeToString(PortV));
+    return;
+  }
+  // Queued output goes out before the fd does.  The main computation
+  // writes through, so only a thread can find bytes still queued here.
+  if (Sched->inThread() && P->outputPending() && !P->closed() &&
+      !ioFlush(P)) {
+    ioPark(P, static_cast<int>(IoOp::Close), St);
+    return;
+  }
+  ioClosePort(P);
+  nativeReturn(Value::unspecified(), St);
+}
+
+bool VM::ioFlush(Port *P) {
+  uint64_t NOut = 0;
+  Port::Io R = P->flushOutput(NOut);
+  S.BytesWritten += NOut;
+  if (R == Port::Io::WouldBlock)
+    return false;
+  if (R != Port::Io::Progress)
+    ioDropPort(P, /*Reason=*/2); // No writer to poison: reap the port.
+  return true;
+}
+
+void VM::ioFlushUnsent() {
+  for (uint32_t Id : Rx->takeUnsent()) {
+    Port *P = Rx->port(Id);
+    if (!P->closed() && P->outputPending() && !ioFlush(P))
+      Rx->parkFlush(Id);
+  }
+}
+
+bool VM::ioFlushBlocking() {
+  for (const PendingIo &W : Rx->takeWaitersDoing(IoOp::Flush)) {
+    Port *P = Rx->port(W.PortId);
+    while (!ioFlush(P)) {
+      if (!pollOneFd(P->fd(), /*ForWrite=*/true, Cfg.IoPollTimeoutMs)) {
+        abortScheduler();
+        fail("io-write: timed out waiting on port " + std::to_string(W.PortId),
+             ErrorKind::Timeout);
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void VM::abortScheduler() {

@@ -176,14 +176,13 @@ public:
 
   Reactor &reactor() { return *Rx; }
   /// Attaches the serving pool's fd handoff queue (never owned; null
-  /// detaches) and enables the reactor's cross-thread wakeup so notify()
-  /// can interrupt a poll.  io-take-conn pulls from this queue.  Returns
-  /// false and sets \p Err when the wakeup pipe cannot be created.
-  bool attachConnQueue(ConnQueue *Q, std::string &Err);
-  /// Same, but wires the wakeup to a *host-owned* pipe (see
-  /// Reactor::enableWakeupFrom): the pool allocates one pipe per shard and
-  /// re-attaches it across worker restarts, so the acceptor's notify fd
-  /// never dangles when a crashed worker's reactor is torn down.
+  /// detaches) and wires the reactor's cross-thread wakeup to a
+  /// *host-owned* pipe (see Reactor::enableWakeupFrom), so notify() can
+  /// interrupt a poll.  io-take-conn pulls from this queue.  The pool
+  /// allocates one pipe per shard and re-attaches it across worker
+  /// restarts, so the acceptor's notify fd never dangles when a crashed
+  /// worker's reactor is torn down.  Returns false and sets \p Err when
+  /// the pipe cannot be dup'd.
   bool attachConnQueue(ConnQueue *Q, int WakeReadFd, int WakeWriteFd,
                        std::string &Err);
   ConnQueue *connQueue() { return ConnQ; }
@@ -353,6 +352,19 @@ private:
   void ioWrite(Value PortV, Value StrV, Site S);
   void ioAccept(Value PortV, Site S);
   void ioTakeConn(Site S);
+  /// io-close: flushes queued output first, parking while it would block.
+  void ioClose(Value PortV, Site S);
+  /// The write side's flush point: writes out every port with queued
+  /// output, one write(2) each.  A port whose socket is full gets a
+  /// thread-less Flush waiter; one whose write fails is reaped.
+  void ioFlushUnsent();
+  /// One flushOutput on behalf of no particular writer.  False when the
+  /// socket is full and output stays queued; a failed write reaps the
+  /// port (io-drop reason 2) and counts as done.
+  bool ioFlush(Port *P);
+  /// Finishes every Flush waiter inline, as a main-computation write
+  /// would; false (after VM::fail) on poll timeout.
+  bool ioFlushBlocking();
   /// Pops one handed-off fd if available: adopts it into the port table
   /// and returns the new port id as a fixnum; EOF object when the queue is
   /// closed and drained; Empty when it is merely empty (caller parks).
@@ -378,7 +390,8 @@ private:
   /// Escape-or-poison delivery for thread \p Tid whose wait expired.
   bool fireThreadDeadline(uint32_t Tid, uint32_t PortId, int OpRaw);
   /// Overload defense: drops \p P (trace io-drop with \p Reason, count it
-  /// reaped+closed, wake its waiters against the closed fd).
+  /// reaped+closed, wake its waiters against the closed fd).  Reasons:
+  /// 0 output cap, 1 port deadline, 2 peer reset or failed flush.
   void ioDropPort(Port *P, uint64_t Reason);
   /// Runs the reactor until at least one parked thread wakes; false on
   /// poll timeout.  The wall budget spans poll batches: with deadlines

@@ -3,8 +3,14 @@
 // including the control stack — in a usable state.
 
 #include "osc.h"
+#include "support/Diag.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 using namespace osc;
 
@@ -196,4 +202,45 @@ TEST_F(ErrorsTest, BacktraceEmptyOnSyntaxErrors) {
   Interp::Result R = I.eval("(if)");
   ASSERT_FALSE(R.Ok);
   EXPECT_TRUE(R.Backtrace.empty());
+}
+
+// --- Internal-invariant aborts -------------------------------------------------
+
+namespace {
+
+/// What the dying child wrote to its redirected stdout.
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+} // namespace
+
+TEST(DiagDeathTest, FatalAndUnreachableFlushStdoutFirst) {
+  // With stdout on a file it is block-buffered: what a program printed
+  // before an invariant failed (a bench's tables) must survive the abort.
+  std::string Fatal = ::testing::TempDir() + "osc_fatal_stdout.txt";
+  std::string Unreach = ::testing::TempDir() + "osc_unreachable_stdout.txt";
+  std::remove(Fatal.c_str());
+  std::remove(Unreach.c_str());
+  EXPECT_DEATH(
+      {
+        if (std::freopen(Fatal.c_str(), "w", stdout))
+          std::printf("table printed before the failure\n");
+        oscFatal("check failed");
+      },
+      "osc fatal error: check failed");
+  EXPECT_NE(slurp(Fatal).find("table printed before the failure"),
+            std::string::npos);
+  EXPECT_DEATH(
+      {
+        if (std::freopen(Unreach.c_str(), "w", stdout))
+          std::printf("table printed before the failure\n");
+        oscUnreachable("bad case");
+      },
+      "osc unreachable executed: bad case");
+  EXPECT_NE(slurp(Unreach).find("table printed before the failure"),
+            std::string::npos);
+  std::remove(Fatal.c_str());
+  std::remove(Unreach.c_str());
 }

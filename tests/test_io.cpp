@@ -10,11 +10,20 @@
 // Registered under the ctest label "serve" together with test_serve.
 
 #include "core/Config.h"
+#include "io/Port.h"
+#include "io/Reactor.h"
 #include "vm/Interp.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace osc;
 
@@ -240,6 +249,117 @@ TEST(IoReactor, ParkedContinuationAcrossTinySegmentsResumesIntact) {
   // bounded frames in both modes; the multi-shot shim additionally pays
   // a full stack copy per park, so it must copy strictly more.
   EXPECT_LT(Copied[0], Copied[1]);
+}
+
+// --- The write side: queued output and its flush points ----------------------
+
+TEST(IoWriteSide, ThreadWritesWaitForTheRunQueueToDrain) {
+  // Inside a thread io-write only queues: no byte reaches the fd while any
+  // thread is still runnable.  Once the run queue drains, both replies go
+  // out together, before scheduler-run returns.
+  Interp I;
+  EXPECT_EQ(run(I, "(define p (open-pipe))"
+                   "(define rd (car p)) (define wr (cdr p))"
+                   "(define before (vm-stat 'bytes-written))"
+                   "(define seen '())"
+                   "(define (note)"
+                   "  (set! seen (cons (- (vm-stat 'bytes-written) before) seen)))"
+                   "(spawn (lambda ()"
+                   "  (io-write wr \"ab\n\") (note) (yield)"
+                   "  (io-write wr \"cd\n\") (note)))"
+                   "(spawn (lambda () (note) (yield) (note)))"
+                   "(scheduler-run)"
+                   "(note)"
+                   "(list (reverse seen) (io-read-line rd) (io-read-line rd)"
+                   "      (vm-stat 'io-parks))"),
+            "((0 0 0 0 6) \"ab\" \"cd\" 0)");
+}
+
+TEST(IoWriteSide, PreemptiveSwitchWritesQueuedOutput) {
+  // A thread that computes past its slice cannot hold back queued output:
+  // the preemptive switch writes it before the next thread runs, although
+  // the run queue never drains in between.
+  Interp I;
+  EXPECT_EQ(run(I, "(define p (open-pipe))"
+                   "(define before (vm-stat 'bytes-written))"
+                   "(define seen #f)"
+                   "(define (spin n) (if (> n 0) (spin (- n 1)) 'done))"
+                   "(spawn (lambda () (io-write (cdr p) \"reply\n\") (spin 100000)))"
+                   "(spawn (lambda ()"
+                   "  (set! seen (- (vm-stat 'bytes-written) before))))"
+                   "(scheduler-run 50)"
+                   "(list seen (> (vm-stat 'preemptive-switches) 0)"
+                   "      (io-read-line (car p)))"),
+            "(6 #t \"reply\")");
+}
+
+TEST(IoWriteSide, SchedulerRunReturnsAfterHeldBackOutputIsWritten) {
+  // The last thread queues more than the socket takes and finishes.  The
+  // main computation writes through, so scheduler-run first writes the
+  // rest inline, while a host thread drains the other end.
+  int Sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sp), 0);
+  Interp I;
+  uint32_t Id = I.vm().reactor().addAdoptedPort(Sp[0], Port::Kind::Stream);
+  I.defineGlobal("conn", Value::fixnum(Id));
+  size_t Got = 0;
+  std::thread Drain([&] {
+    char Buf[4096];
+    for (ssize_t N; (N = ::read(Sp[1], Buf, sizeof Buf)) > 0;)
+      Got += static_cast<size_t>(N);
+  });
+  EXPECT_EQ(run(I, "(define (grow s n)"
+                   "  (if (zero? n) s (grow (string-append s s) (- n 1))))"
+                   "(define big (grow \"0123456789abcdef\" 15))" // 512 KiB
+                   "(define before (vm-stat 'bytes-written))"
+                   "(spawn (lambda () (io-write conn big)))"
+                   "(scheduler-run)"
+                   "(define after (vm-stat 'bytes-written))"
+                   "(io-close conn)"
+                   "(- after before)"),
+            "524288");
+  Drain.join();
+  ::close(Sp[1]);
+  EXPECT_EQ(Got, 524288u);
+}
+
+TEST(IoWriteSide, WriteToAClosedPortInsideAThreadReturnsFalse) {
+  // The connection is gone: a thread's write sees #f, exactly like a writer
+  // that was parked when the port was reaped.  (The main computation still
+  // gets an error; see ClosedPortOperationsFail.)
+  Interp I;
+  EXPECT_EQ(run(I, "(define p (open-pipe))"
+                   "(io-close (cdr p))"
+                   "(define t (spawn (lambda () (io-write (cdr p) \"late\n\"))))"
+                   "(scheduler-run)"
+                   "(thread-join t)"),
+            "#f");
+}
+
+TEST(IoAccept, AcceptedSocketsHaveNoDelay) {
+  // Replies are coalesced into one write per port per reactor turn, so
+  // Nagle would only hold the last segment back for the peer's delayed
+  // ACK: every socket the system accepts itself has TCP_NODELAY.
+  auto NoDelay = [](int Fd) {
+    int V = -1;
+    socklen_t L = sizeof V;
+    return ::getsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &V, &L) == 0 ? V : -1;
+  };
+  uint16_t TcpPort = 0;
+  std::string E;
+  int Lfd = openListener(TcpPort, 8, E);
+  ASSERT_GE(Lfd, 0) << E;
+  Port L(0, Lfd, Port::Kind::Listener);
+  int C = connectLoopback(TcpPort, E);
+  ASSERT_GE(C, 0) << E;
+  ASSERT_TRUE(pollOneFd(Lfd, /*ForWrite=*/false, 5000));
+  int S = L.acceptConn();
+  ASSERT_GE(S, 0) << L.lastError();
+  EXPECT_NE(NoDelay(S), 0);
+  EXPECT_EQ(NoDelay(C), 0); // The connecting side keeps the kernel default.
+  EXPECT_EQ(L.acceptConn(), -1); // Nothing else pending.
+  ::close(S);
+  ::close(C);
 }
 
 // --- Determinism -------------------------------------------------------------

@@ -9,6 +9,7 @@
 //
 // Registered under the ctest label "serve".
 
+#include "io/Port.h"
 #include "osc.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -452,4 +455,113 @@ TEST(Pool, DeterministicPerWorkerTraces) {
 
 TEST(Pool, DeterministicPerWorkerTracesCentralAcceptor) {
   checkDeterministicTraces(ListenMode::CentralAcceptor);
+}
+
+// --- Accepted sockets and peer resets ----------------------------------------
+
+namespace {
+
+int noDelay(int Fd) {
+  int V = -1;
+  socklen_t L = sizeof V;
+  return ::getsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &V, &L) == 0 ? V : -1;
+}
+
+/// TCP_NODELAY on the pool's end of \p C's connection to \p TcpPort: the
+/// pool runs in this process, so its end is one of this process's fds.
+/// -1 when no such fd is found.
+int serverNoDelay(uint16_t TcpPort, const Client &C) {
+  sockaddr_in Mine{};
+  socklen_t Len = sizeof Mine;
+  if (::getsockname(C.fd(), reinterpret_cast<sockaddr *>(&Mine), &Len) != 0)
+    return -1;
+  for (int Fd = 0; Fd < 4096; ++Fd) {
+    sockaddr_in Local{}, Peer{};
+    socklen_t LL = sizeof Local, PL = sizeof Peer;
+    if (Fd == C.fd() ||
+        ::getsockname(Fd, reinterpret_cast<sockaddr *>(&Local), &LL) != 0 ||
+        Local.sin_family != AF_INET || ntohs(Local.sin_port) != TcpPort ||
+        ::getpeername(Fd, reinterpret_cast<sockaddr *>(&Peer), &PL) != 0 ||
+        Peer.sin_port != Mine.sin_port)
+      continue;
+    return noDelay(Fd) > 0 ? 1 : 0;
+  }
+  return -1;
+}
+
+} // namespace
+
+TEST(Pool, AcceptedSocketsHaveNoDelay) {
+  // Both accept paths: a shard's own SO_REUSEPORT listener and the
+  // central acceptor thread.
+  for (ListenMode M : {ListenMode::ReusePort, ListenMode::CentralAcceptor}) {
+    Pool P(options(1, M));
+    mustStart(P);
+    Client C;
+    std::string E;
+    ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
+    EXPECT_EQ(ask(C, "PING"), "PONG"); // Accepted and adopted by now.
+    EXPECT_EQ(serverNoDelay(P.tcpPort(), C), 1) << listenModeName(M);
+    C.close();
+    P.stop();
+    ASSERT_TRUE(P.error().ok()) << P.error();
+  }
+}
+
+TEST(Pool, HandedOffSocketKeepsTheHostsOptions) {
+  // An fd adopted through handoff is the host's: the pool sets nothing.
+  Pool P(options(1));
+  mustStart(P);
+  uint16_t TcpPort = 0;
+  std::string E;
+  int L = openListener(TcpPort, 8, E);
+  ASSERT_GE(L, 0) << E;
+  Client C;
+  ASSERT_TRUE(C.connect(TcpPort, E)) << E;
+  ASSERT_TRUE(pollOneFd(L, /*ForWrite=*/false, 5000));
+  int S = ::accept(L, nullptr, nullptr);
+  ASSERT_GE(S, 0);
+  ASSERT_EQ(noDelay(S), 0);
+  ASSERT_TRUE(P.handoff(0, S).ok());
+  EXPECT_EQ(ask(C, "PING"), "PONG");
+  EXPECT_EQ(noDelay(S), 0); // Still open: the shard owns it now.
+  C.close();
+  ::close(L);
+  P.stop();
+  ASSERT_TRUE(P.error().ok()) << P.error();
+}
+
+TEST(Pool, PeerResetEndsTheConnectionNotTheShard) {
+  // Clients that pipeline 200 EVALs and then reset the connection
+  // (SO_LINGER {1, 0}): each reset reaps that one connection, the shard
+  // never restarts, and a fresh client is served.
+  Pool P(options(1));
+  mustStart(P);
+  std::string Batch = "EVAL (+ 1 2)";
+  for (int K = 1; K < 200; ++K)
+    Batch += "\nEVAL (+ 1 2)";
+  for (int R = 0; R < 4; ++R) {
+    Client C;
+    std::string E;
+    ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
+    ASSERT_TRUE(C.sendLine(Batch));
+    linger Lg{1, 0};
+    ASSERT_EQ(::setsockopt(C.fd(), SOL_SOCKET, SO_LINGER, &Lg, sizeof Lg), 0);
+    C.close();
+  }
+  ASSERT_TRUE(spinUntil([&] {
+    Stats::Snapshot D = P.snapshot() - P.baseline();
+    return D.ConnectionsClosed >= 4;
+  }));
+  Client C;
+  std::string E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
+  EXPECT_EQ(ask(C, "PING"), "PONG");
+  C.close();
+  P.stop();
+  ASSERT_TRUE(P.error().ok()) << P.error();
+  Stats::Snapshot D = P.snapshot() - P.baseline();
+  EXPECT_EQ(D.WorkerRestarts, 0u);
+  EXPECT_EQ(D.ConnsReaped, 4u);
+  EXPECT_EQ(D.WordsCopied, 0u);
 }

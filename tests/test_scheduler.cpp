@@ -652,6 +652,25 @@ TEST(Nursery, CompletedChildrenAreNotCancelled) {
             "(finished 0)");
 }
 
+TEST(Nursery, FinishedChildrenAreUnlinked) {
+  // A long-lived scope (a connection serving request after request) keeps
+  // only its live children: 1,000 children that each finish before the
+  // next spawn leave the list holding the parked child and the newest one.
+  Interp I;
+  EXPECT_EQ(run(I, "(define listed #f)"
+                   "(spawn (lambda ()"
+                   "  (nursery"
+                   "   (spawn (lambda () (channel-recv (make-channel 0))))"
+                   "   (let loop ((i 0))"
+                   "     (if (< i 1000)"
+                   "         (begin (thread-join (spawn (lambda () i)))"
+                   "                (loop (+ i 1)))))"
+                   "   (set! listed (length (vector-ref *nursery* 0))))))"
+                   "(scheduler-run)"
+                   "(list listed (vm-stat 'nursery-cancels))"),
+            "(2 1)");
+}
+
 TEST(Nursery, ChildrenInheritTheScope) {
   // A child's own spawn enrolls the grandchild in the same nursery, so
   // closing the scope reaps the whole tree, not just direct children.

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+
 using namespace osc;
 
 namespace {
@@ -262,4 +264,31 @@ TEST(Serve, PreemptiveSchedulingStillServes) {
   C.close();
   S.stop();
   EXPECT_TRUE(S.result().Ok) << S.result().Error;
+}
+
+TEST(Serve, PeerResetEndsOnlyThatConnection) {
+  // A client that pipelines requests and resets the connection mid-reply:
+  // the reset reaps that connection, the serving program keeps running,
+  // and every later client is served.
+  Server S(options());
+  mustStart(S);
+  std::string Batch = "EVAL (* 6 7)";
+  for (int K = 1; K < 200; ++K)
+    Batch += "\nEVAL (* 6 7)";
+  for (int R = 0; R < 4; ++R) {
+    Client C;
+    std::string E;
+    ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+    ASSERT_TRUE(C.sendLine(Batch));
+    linger Lg{1, 0};
+    ASSERT_EQ(::setsockopt(C.fd(), SOL_SOCKET, SO_LINGER, &Lg, sizeof Lg), 0);
+    C.close();
+    Client Next;
+    ASSERT_TRUE(Next.connect(S.tcpPort(), E)) << E;
+    EXPECT_EQ(ask(Next, "PING"), "PONG") << "after reset " << R;
+  }
+  S.stop();
+  ASSERT_TRUE(S.result().Ok) << S.result().Error;
+  Stats::Snapshot D = S.snapshot() - S.baseline();
+  EXPECT_EQ(D.WordsCopied, 0u);
 }
