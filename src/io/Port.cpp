@@ -29,26 +29,35 @@ bool osc::makeNonBlocking(int Fd) {
   return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
-Port::Port(uint32_t Id, int Fd, Kind K, AdoptFd) : Id(Id), Fd(Fd), K(K) {
+Port::Port(Handle Id, int Fd, Kind K, AdoptFd) : Id(Id), Fd(Fd), K(K) {
   if (Fd >= 0 && !makeNonBlocking(Fd))
     Err = errnoMessage("fcntl");
 }
 
 bool Port::takeLine(std::string &Out) {
-  size_t Nl = InBuf.find('\n');
-  if (Nl == std::string::npos) {
-    // After EOF (or a local close) the unterminated tail is the final line.
-    if ((SawEof || closed()) && !InBuf.empty()) {
-      Out = std::move(InBuf);
+  if (InHead < LineEnd) {
+    // A newline lies before LineEnd, so the search stops inside this line.
+    size_t Nl = InBuf.find('\n', InHead);
+    Out.assign(InBuf, InHead, Nl - InHead);
+    InHead = Nl + 1;
+    if (InHead == InBuf.size()) {
       InBuf.clear();
-      if (!Out.empty() && Out.back() == '\r')
-        Out.pop_back();
-      return true;
+      InHead = LineEnd = 0;
+    } else if (InHead > InBuf.size() / 2) {
+      // Compact once the consumed prefix passes half the buffer: each
+      // byte moves at most once per halving, so framing stays linear.
+      InBuf.erase(0, InHead);
+      LineEnd -= InHead;
+      InHead = 0;
     }
+  } else if ((SawEof || closed()) && InHead < InBuf.size()) {
+    // After EOF (or a local close) the unterminated tail is the final line.
+    Out.assign(InBuf, InHead);
+    InBuf.clear();
+    InHead = LineEnd = 0;
+  } else {
     return false;
   }
-  Out.assign(InBuf, 0, Nl);
-  InBuf.erase(0, Nl + 1);
   if (!Out.empty() && Out.back() == '\r')
     Out.pop_back();
   return true;
@@ -62,9 +71,20 @@ Port::Io Port::fillInput(uint64_t &BytesIn) {
     char Buf[4096];
     ssize_t N = ::read(Fd, Buf, sizeof Buf);
     if (N > 0) {
-      InBuf.append(Buf, static_cast<size_t>(N));
+      std::string_view Chunk(Buf, static_cast<size_t>(N));
+      size_t Nl = Chunk.rfind('\n');
+      if (Nl != std::string_view::npos)
+        LineEnd = InBuf.size() + Nl + 1;
+      InBuf.append(Chunk);
       BytesIn += static_cast<uint64_t>(N);
       Moved = true;
+      if (LineCap && InBuf.size() - LineEnd > LineCap) {
+        // A line this long is not a request: drop what there is of it
+        // before it grows further.  Complete lines ahead of it stay.
+        InBuf.resize(LineEnd);
+        Err = "line longer than " + std::to_string(LineCap) + " bytes";
+        return Io::Overlong;
+      }
       continue;
     }
     if (N == 0) {
@@ -85,22 +105,30 @@ Port::Io Port::flushOutput(uint64_t &BytesOut) {
     Err = "port is closed";
     return Io::Error;
   }
-  while (!OutBuf.empty()) {
-    ssize_t N = ::write(Fd, OutBuf.data(), OutBuf.size());
+  while (outputPending()) {
+    ssize_t N = ::write(Fd, OutBuf.data() + OutHead, OutBuf.size() - OutHead);
     if (N > 0) {
-      OutBuf.erase(0, static_cast<size_t>(N));
+      OutHead += static_cast<size_t>(N);
       BytesOut += static_cast<uint64_t>(N);
       continue;
     }
     if (N < 0 && errno == EINTR)
       continue;
     if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Keep a write cursor instead of erasing per partial write; compact
+      // once the written prefix passes half the buffer.
+      if (OutHead > OutBuf.size() / 2) {
+        OutBuf.erase(0, OutHead);
+        OutHead = 0;
+      }
       FlushBlocked = true;
       return Io::WouldBlock;
     }
     Err = errnoMessage("write");
     return peerReset(errno) ? Io::Reset : Io::Error;
   }
+  OutBuf.clear();
+  OutHead = 0;
   FlushBlocked = false;
   return Io::Progress;
 }
@@ -138,11 +166,12 @@ void Port::closeNow() {
     return;
   // Best-effort flush: io-close writes out queued output before it gets
   // here, so only a reaped port (or a dying interpreter) drops bytes.
-  if (!OutBuf.empty()) {
+  if (outputPending()) {
     uint64_t Ignored = 0;
     flushOutput(Ignored);
-    OutBuf.clear();
   }
+  OutBuf.clear();
+  OutHead = 0;
   ::close(Fd);
   Fd = -1;
 }

@@ -19,6 +19,8 @@
 #ifndef OSC_IO_PORT_H
 #define OSC_IO_PORT_H
 
+#include "support/HandleTable.h"
+
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -41,6 +43,8 @@ public:
     Eof,        ///< Peer closed its end (reads only).
     Reset,      ///< The peer reset the connection (ECONNRESET / EPIPE);
                 ///< lastError() has the message.
+    Overlong,   ///< Unterminated input passed the line cap (reads only);
+                ///< the partial line was discarded.
     Error,      ///< Hard failure; lastError() has the message.
   };
 
@@ -48,19 +52,19 @@ public:
   struct AdoptFd {};
 
   /// Wraps an fd the src/io factories created (already non-blocking).
-  Port(uint32_t Id, int Fd, Kind K) : Id(Id), Fd(Fd), K(K) {}
+  Port(Handle Id, int Fd, Kind K) : Id(Id), Fd(Fd), K(K) {}
 
   /// Adopts a live fd that originated *outside* src/io — e.g. a connection
   /// accepted on another thread and handed to this reactor.  Takes
   /// ownership and switches the fd to non-blocking (every Port invariant
   /// assumes O_NONBLOCK; an inherited blocking fd would stall the VM).
-  Port(uint32_t Id, int Fd, Kind K, AdoptFd);
+  Port(Handle Id, int Fd, Kind K, AdoptFd);
 
   ~Port() { closeNow(); }
   Port(const Port &) = delete;
   Port &operator=(const Port &) = delete;
 
-  uint32_t id() const { return Id; }
+  Handle id() const { return Id; }
   int fd() const { return Fd; }
   Kind kind() const { return K; }
   bool closed() const { return Fd < 0; }
@@ -76,14 +80,20 @@ public:
   /// Takes one complete line (without the terminator; a trailing \r is also
   /// stripped) out of the input buffer.  After EOF or close the unterminated
   /// tail, if any, counts as the final line.  Returns false when no line is
-  /// available yet.
+  /// available yet.  Lines are framed with a read cursor, so taking one
+  /// costs its own length however many more are buffered behind it.
   bool takeLine(std::string &Out);
 
   /// Reads everything currently available on the fd into the input buffer.
-  /// \p BytesIn is incremented by the bytes moved.
+  /// \p BytesIn is incremented by the bytes moved.  Returns Overlong, and
+  /// discards the partial line, as soon as the input after the last
+  /// newline passes the line cap (see setLineCap).
   Io fillInput(uint64_t &BytesIn);
 
-  size_t inputBuffered() const { return InBuf.size(); }
+  size_t inputBuffered() const { return InBuf.size() - InHead; }
+
+  /// Cap in bytes on one unterminated line; 0 disables.
+  void setLineCap(size_t Bytes) { LineCap = Bytes; }
 
   // --- Buffered output -------------------------------------------------------
 
@@ -92,15 +102,15 @@ public:
   /// cap (see setOutputCap): the caller must treat the port as a hopeless
   /// slow client and drop it rather than buffer without bound.
   bool queueOutput(std::string_view S) {
-    if (OutCap && OutBuf.size() + S.size() > OutCap)
+    if (OutCap && OutBuf.size() - OutHead + S.size() > OutCap)
       return false;
     OutBuf.append(S);
     return true;
   }
-  bool outputPending() const { return !OutBuf.empty(); }
+  bool outputPending() const { return OutBuf.size() > OutHead; }
   /// True while the output buffer holds bytes that the last flushOutput
   /// could not write (the fd would block).
-  bool flushBlocked() const { return FlushBlocked && !OutBuf.empty(); }
+  bool flushBlocked() const { return FlushBlocked && outputPending(); }
 
   /// Hard cap in bytes on buffered output; 0 disables.
   void setOutputCap(size_t Bytes) { OutCap = Bytes; }
@@ -132,16 +142,20 @@ public:
   void closeNow();
 
 private:
-  uint32_t Id;
+  Handle Id;
   int Fd;
   Kind K;
   bool SawEof = false;
   uint16_t TcpPort = 0;
   std::string InBuf;
+  size_t InHead = 0;  ///< Bytes of InBuf already taken as lines.
+  size_t LineEnd = 0; ///< One past InBuf's last newline (0: none).
   std::string OutBuf;
+  size_t OutHead = 0; ///< Bytes of OutBuf already written.
   std::string Err;
   bool FlushBlocked = false;   ///< The last flushOutput would block.
   size_t OutCap = 0;           ///< Output-buffer hard cap; 0 = unbounded.
+  size_t LineCap = 0;          ///< Unterminated-line cap; 0 = unbounded.
   uint64_t DeadlineTicks = 0;  ///< Per-park deadline distance; 0 = none.
 };
 

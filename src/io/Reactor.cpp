@@ -1,5 +1,7 @@
 #include "io/Reactor.h"
 
+#include "support/Stats.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
@@ -29,7 +31,7 @@ const char *osc::ioOpName(IoOp Op) {
   return "?";
 }
 
-Reactor::Reactor() {
+Reactor::Reactor(Stats *St) : St(St) {
   // A peer may close mid-write at any time; without this the default
   // SIGPIPE disposition would kill the whole process instead of letting
   // flushOutput report EPIPE.
@@ -45,18 +47,27 @@ Reactor::~Reactor() {
     ::close(WakeWriteFd);
 }
 
-uint32_t Reactor::addPort(int Fd, Port::Kind K) {
-  uint32_t Id = static_cast<uint32_t>(Ports.size());
-  Ports.push_back(std::make_unique<Port>(Id, Fd, K));
-  Ports.back()->setOutputCap(DefaultOutCap);
-  return Id;
+Handle Reactor::addPort(int Fd, Port::Kind K) {
+  return place(Ports.emplace(Fd, K));
 }
 
-uint32_t Reactor::addAdoptedPort(int Fd, Port::Kind K) {
-  uint32_t Id = static_cast<uint32_t>(Ports.size());
-  Ports.push_back(std::make_unique<Port>(Id, Fd, K, Port::AdoptFd{}));
-  Ports.back()->setOutputCap(DefaultOutCap);
-  return Id;
+Handle Reactor::addAdoptedPort(int Fd, Port::Kind K) {
+  return place(Ports.emplace(Fd, K, Port::AdoptFd{}));
+}
+
+Handle Reactor::place(Port &P) {
+  P.setOutputCap(DefaultOutCap);
+  P.setLineCap(DefaultLineCap);
+  if (St)
+    St->PortSlotPeak =
+        std::max<uint64_t>(St->PortSlotPeak, Ports.slotCount());
+  return P.id();
+}
+
+void Reactor::reclaim(Port *P) {
+  if (P->kind() == Port::Kind::Stream && P->closed() &&
+      P->inputBuffered() == 0 && Ports.get(static_cast<int64_t>(P->id())) == P)
+    Ports.free(P->id());
 }
 
 bool Reactor::hasWaiter(IoOp Op) const {
@@ -113,19 +124,19 @@ void Reactor::drainWakeup() {
   }
 }
 
-void Reactor::park(uint32_t Tid, uint32_t PortId, IoOp Op,
+void Reactor::park(Handle Tid, Handle PortId, IoOp Op,
                    uint64_t DeadlineTick, uint64_t ParkSeq) {
   Waiters.push_back({NextSeq++, Tid, PortId, Op, DeadlineTick, ParkSeq});
 }
 
-void Reactor::parkFlush(uint32_t PortId) {
+void Reactor::parkFlush(Handle PortId) {
   for (const PendingIo &W : Waiters)
     if (W.Op == IoOp::Flush && W.PortId == PortId)
       return;
   Waiters.push_back({NextSeq++, PendingIo::NoThread, PortId, IoOp::Flush});
 }
 
-void Reactor::parkTimer(uint32_t Tid, uint64_t DeadlineTick, uint64_t ParkSeq) {
+void Reactor::parkTimer(Handle Tid, uint64_t DeadlineTick, uint64_t ParkSeq) {
   Waiters.push_back(
       {NextSeq++, Tid, PendingIo::NoPort, IoOp::Timer, DeadlineTick, ParkSeq});
 }
@@ -252,7 +263,7 @@ std::vector<PendingIo> takeWaitersIf(std::vector<PendingIo> &Waiters,
 
 } // namespace
 
-std::vector<PendingIo> Reactor::takeWaitersFor(uint32_t PortId) {
+std::vector<PendingIo> Reactor::takeWaitersFor(Handle PortId) {
   return takeWaitersIf(Waiters,
                        [PortId](const PendingIo &W) { return W.PortId == PortId; });
 }
@@ -261,7 +272,7 @@ std::vector<PendingIo> Reactor::takeWaitersDoing(IoOp Op) {
   return takeWaitersIf(Waiters, [Op](const PendingIo &W) { return W.Op == Op; });
 }
 
-void Reactor::dropWaitersFor(uint32_t Tid) {
+void Reactor::dropWaitersFor(Handle Tid) {
   Waiters.erase(std::remove_if(Waiters.begin(), Waiters.end(),
                                [Tid](const PendingIo &W) {
                                  return W.Tid == Tid;

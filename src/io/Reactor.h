@@ -14,10 +14,16 @@
 ///
 /// Determinism: poll(2) readiness arrives as an unordered fd set, so one
 /// poll batch is sorted by (port id, registration seq) before it is handed
-/// back.  Port ids are allocated in program order (unlike raw fd numbers,
-/// which depend on what the OS recycles), so two runs of the same program
-/// against the same peer behavior wake threads in the same order and
-/// produce byte-identical IoWait/IoReady traces.
+/// back.  Port ids are handles into a HandleTable, allocated in program
+/// order (lowest free slot first, unlike raw fd numbers, which depend on
+/// what the OS recycles), so two runs of the same program against the
+/// same peer behavior wake threads in the same order and produce
+/// byte-identical IoWait/IoReady traces.
+///
+/// A closed stream port's record is freed once its buffered input has
+/// been read (reclaim), and its handle then resolves to one permanently
+/// closed sentinel port: reads see EOF, writes see a closed port, and
+/// closing again is a no-op — exactly what the closed port answered.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +33,12 @@
 #include "io/Port.h"
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 namespace osc {
+
+struct Stats;
 
 /// What a parked thread is waiting to finish.
 enum class IoOp : uint8_t {
@@ -65,62 +72,75 @@ inline bool ioOpWrites(IoOp Op) {
 /// carry the parking thread's park generation (ParkSeq) so a timer whose
 /// thread already woke through the channel is recognized as stale and
 /// discarded instead of fired — timers are cancelled lazily, never
-/// searched for.
+/// searched for.  Tid and PortId are generation-tagged handles, so a
+/// waiter that outlives its thread's (or port's) record can never reach
+/// the next occupant of the slot: the lookup answers "freed".
 struct PendingIo {
   uint64_t Seq;
-  uint32_t Tid;
-  uint32_t PortId;
+  Handle Tid;
+  Handle PortId;
   IoOp Op;
   uint64_t DeadlineTick = 0; ///< 0 = no deadline; fires at NowTick >= this.
   uint64_t ParkSeq = 0;      ///< Thread park generation (Timer validity).
 
   /// PortId of fd-less Timer waiters.
-  static constexpr uint32_t NoPort = 0xffffffffu;
+  static constexpr Handle NoPort = ~Handle{0};
   /// Tid of thread-less Flush waiters.
-  static constexpr uint32_t NoThread = 0xffffffffu;
+  static constexpr Handle NoThread = ~Handle{0};
 };
 
 class Reactor {
 public:
   /// Ignores SIGPIPE process-wide (once): broken-pipe writes must surface
-  /// as EPIPE errors on the port, not kill the host.
-  Reactor();
+  /// as EPIPE errors on the port, not kill the host.  \p St, when given,
+  /// receives PortSlotPeak.
+  explicit Reactor(Stats *St = nullptr);
   ~Reactor();
   Reactor(const Reactor &) = delete;
   Reactor &operator=(const Reactor &) = delete;
 
-  // --- Port table (fixnum ids, like threads and channels) -------------------
+  // --- Port table (fixnum handles, like threads and channels) ---------------
 
-  uint32_t addPort(int Fd, Port::Kind K);
+  Handle addPort(int Fd, Port::Kind K);
 
   /// Adopts an fd created outside src/io (switched to non-blocking; see
   /// Port's adopting constructor) into the port table.
-  uint32_t addAdoptedPort(int Fd, Port::Kind K);
+  Handle addAdoptedPort(int Fd, Port::Kind K);
 
   /// Output-buffer hard cap applied to every subsequently created port
   /// (0 = unbounded).  Set once from Config::MaxOutputBufferBytes.
   void setDefaultOutputCap(size_t Bytes) { DefaultOutCap = Bytes; }
+  /// Unterminated-line cap applied to every subsequently created port
+  /// (0 = unbounded).  Set once from Config::MaxLineBytes.
+  void setDefaultLineCap(size_t Bytes) { DefaultLineCap = Bytes; }
+  /// The port \p Id names; the closed sentinel when its record was freed;
+  /// null when \p Id was never a port.
   Port *port(int64_t Id) {
-    if (Id < 0 || static_cast<size_t>(Id) >= Ports.size())
-      return nullptr;
-    return Ports[static_cast<size_t>(Id)].get();
+    if (Port *P = Ports.get(Id))
+      return P;
+    return Ports.stale(Id) ? &Closed : nullptr;
   }
-  size_t portCount() const { return Ports.size(); }
+  /// Frees \p P's record if it is a closed stream port whose buffered
+  /// input has all been read.  Listener and wakeup ports are never freed.
+  /// \p P stays readable (closed, empty) until the next port is added.
+  void reclaim(Port *P);
+  /// Calls \p Fn on every port whose record is held, in id order.
+  template <typename F> void forEachPort(F Fn) { Ports.forEach(Fn); }
 
   // --- Waiter registry -------------------------------------------------------
 
   /// Registers a fresh parked operation (new Seq).  \p DeadlineTick of 0
   /// parks without a deadline; otherwise the waiter expires once the
   /// virtual tick clock reaches it.
-  void park(uint32_t Tid, uint32_t PortId, IoOp Op, uint64_t DeadlineTick = 0,
+  void park(Handle Tid, Handle PortId, IoOp Op, uint64_t DeadlineTick = 0,
             uint64_t ParkSeq = 0);
   /// Registers an fd-less Timer waiter for a thread blocked outside the
   /// reactor (channel wait under with-deadline).
-  void parkTimer(uint32_t Tid, uint64_t DeadlineTick, uint64_t ParkSeq);
+  void parkTimer(Handle Tid, uint64_t DeadlineTick, uint64_t ParkSeq);
   /// Registers a thread-less Flush waiter on \p PortId unless one is
   /// already there.  It has no deadline: the port's parked reader or
   /// writer carries the slow-client deadline.
-  void parkFlush(uint32_t PortId);
+  void parkFlush(Handle PortId);
   /// Re-registers \p P unchanged (original Seq, original deadline) after a
   /// readiness event that did not complete the operation.
   void repark(const PendingIo &P) { Waiters.push_back(P); }
@@ -161,7 +181,7 @@ public:
 
   /// Removes-and-returns every waiter parked on \p PortId, in Seq order —
   /// io-close uses this to wake them before the fd goes away.
-  std::vector<PendingIo> takeWaitersFor(uint32_t PortId);
+  std::vector<PendingIo> takeWaitersFor(Handle PortId);
   /// Removes-and-returns every waiter doing \p Op, in Seq order.
   std::vector<PendingIo> takeWaitersDoing(IoOp Op);
 
@@ -169,7 +189,7 @@ public:
   /// and Timer waiters alike).  Thread cancellation uses this: the thread
   /// is being retired without ever resuming, so nothing may complete or
   /// expire on its behalf later.
-  void dropWaitersFor(uint32_t Tid);
+  void dropWaitersFor(Handle Tid);
 
   /// Drops all waiters (scheduler abort; parked threads are gone).
   void clearWaiters() { Waiters.clear(); }
@@ -182,9 +202,9 @@ public:
   // holds.  A port is listed when its buffer goes from empty to non-empty,
   // so each appears at most once, in the order it was first written.
 
-  void markUnsent(uint32_t PortId) { Unsent.push_back(PortId); }
+  void markUnsent(Handle PortId) { Unsent.push_back(PortId); }
   bool hasUnsent() const { return !Unsent.empty(); }
-  std::vector<uint32_t> takeUnsent() { return std::exchange(Unsent, {}); }
+  std::vector<Handle> takeUnsent() { return std::exchange(Unsent, {}); }
 
   // --- Cross-thread wakeup (self-pipe) --------------------------------------
   //
@@ -220,10 +240,17 @@ public:
   int64_t wakeupPortId() const { return WakePortId; }
 
 private:
-  std::vector<std::unique_ptr<Port>> Ports; ///< Index == port id.
-  size_t DefaultOutCap = 0; ///< queueOutput cap stamped on new ports.
+  /// Stamps the default caps on a new port and records the slot peak.
+  Handle place(Port &P);
+
+  Stats *St;
+  HandleTable<Port> Ports;
+  /// What a freed port's handle resolves to: closed, empty, never freed.
+  Port Closed{PendingIo::NoPort, -1, Port::Kind::Stream};
+  size_t DefaultOutCap = 0;  ///< queueOutput cap stamped on new ports.
+  size_t DefaultLineCap = 0; ///< fillInput line cap stamped on new ports.
   std::vector<PendingIo> Waiters;
-  std::vector<uint32_t> Unsent; ///< Ports with queued, unflushed output.
+  std::vector<Handle> Unsent; ///< Ports with queued, unflushed output.
   uint64_t NextSeq = 0;
   uint64_t NowTick = 0; ///< Virtual tick clock; +1 per takeReady batch.
   int TickMs = 5;       ///< Wall-ms clamp per batch when deadlines armed.

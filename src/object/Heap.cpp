@@ -356,6 +356,7 @@ void Heap::collect() {
   }
 
   LiveBytes = Live;
+  S.GcLivePeak = std::max<uint64_t>(S.GcLivePeak, Live);
   S.GcCount += 1;
   S.GcBytesFreed += Freed;
   BytesSinceGC = 0;

@@ -17,6 +17,7 @@
 #define OSC_SCHED_CHANNEL_H
 
 #include "object/Value.h"
+#include "support/HandleTable.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -28,9 +29,9 @@ class GCVisitor;
 
 class Channel {
 public:
-  Channel(uint32_t Id, uint32_t Capacity) : Id(Id), Cap(Capacity) {}
+  Channel(Handle Id, uint32_t Capacity) : Id(Id), Cap(Capacity) {}
 
-  uint32_t id() const { return Id; }
+  Handle id() const { return Id; }
   uint32_t capacity() const { return Cap; }
   size_t buffered() const { return Buf.size(); }
   size_t waitingReceivers() const { return WaitingRecv.size(); }
@@ -38,7 +39,7 @@ public:
   bool closed() const { return Closed; }
 
   struct PendingSend {
-    uint32_t Tid;
+    Handle Tid;
     Value V;
   };
 
@@ -46,7 +47,7 @@ public:
   /// receivers with the EOF sentinel and senders with a trappable error;
   /// the channel itself stays Value-policy-free.
   struct CloseResult {
-    std::deque<uint32_t> Receivers;
+    std::deque<Handle> Receivers;
     std::deque<PendingSend> Senders;
   };
 
@@ -68,7 +69,7 @@ public:
       Buffered,  ///< Stored in the buffer; nobody to wake.
       MustBlock, ///< Buffer full and no receiver waiting.
     } K;
-    uint32_t WokenReceiver = 0;
+    Handle WokenReceiver = 0;
   };
 
   /// Attempts to send \p V without blocking.  A waiting receiver always
@@ -76,7 +77,7 @@ public:
   /// already-parked consumer.
   SendResult trySend(Value V) {
     if (!WaitingRecv.empty()) {
-      uint32_t R = WaitingRecv.front();
+      Handle R = WaitingRecv.front();
       WaitingRecv.pop_front();
       return {SendResult::Delivered, R};
     }
@@ -90,7 +91,7 @@ public:
   /// Parks \p Tid as a blocked sender carrying \p V.  The value travels
   /// with the waiter so FIFO order is preserved when receivers drain the
   /// buffer and refill it from the send queue.
-  void blockSender(uint32_t Tid, Value V) { WaitingSend.push_back({Tid, V}); }
+  void blockSender(Handle Tid, Value V) { WaitingSend.push_back({Tid, V}); }
 
   /// Outcome of the non-blocking half of a receive.
   struct RecvResult {
@@ -101,7 +102,7 @@ public:
     Value V;
     bool WakeSender = false;  ///< A parked sender's value was accepted;
                               ///< wake WokenSender (its send completed).
-    uint32_t WokenSender = 0;
+    Handle WokenSender = 0;
   };
 
   /// Attempts to receive without blocking.  Draining one buffer slot pulls
@@ -128,13 +129,13 @@ public:
     return {RecvResult::MustBlock, Value(), false, 0};
   }
 
-  void blockReceiver(uint32_t Tid) { WaitingRecv.push_back(Tid); }
+  void blockReceiver(Handle Tid) { WaitingRecv.push_back(Tid); }
 
   /// Removes \p Tid from both wait queues (its deadline fired while it was
   /// parked here, so nothing may deliver to or wake it anymore).  Returns
   /// true when found; a removed sender's undelivered value is dropped with
   /// it.
-  bool removeWaiter(uint32_t Tid) {
+  bool removeWaiter(Handle Tid) {
     for (auto It = WaitingRecv.begin(); It != WaitingRecv.end(); ++It)
       if (*It == Tid) {
         WaitingRecv.erase(It);
@@ -158,11 +159,11 @@ public:
   void traceRoots(GCVisitor &V);
 
 private:
-  uint32_t Id;
+  Handle Id;
   uint32_t Cap;
   bool Closed = false;
   std::deque<Value> Buf;
-  std::deque<uint32_t> WaitingRecv;
+  std::deque<Handle> WaitingRecv;
   std::deque<PendingSend> WaitingSend;
 };
 

@@ -23,23 +23,24 @@ const char *osc::threadStateName(ThreadState St) {
   return "?";
 }
 
-uint32_t Scheduler::spawn(Value Thunk) {
-  auto T = std::make_unique<Thread>();
-  T->Id = static_cast<uint32_t>(Threads.size());
-  T->Thunk = Thunk;
-  Thread &Ref = *T;
-  Threads.push_back(std::move(T));
+Handle Scheduler::spawn(Value Thunk, bool Detached) {
+  Thread &T = Threads.emplace();
+  T.Thunk = Thunk;
+  T.Detached = Detached;
   Live += 1;
   S.ThreadsSpawned += 1;
-  enqueueReady(Ref);
-  return Ref.Id;
+  S.ThreadSlotPeak =
+      std::max<uint64_t>(S.ThreadSlotPeak, Threads.slotCount());
+  enqueueReady(T);
+  return T.Id;
 }
 
 uint32_t Scheduler::blockedCount() const {
   uint32_t N = 0;
-  for (const auto &T : Threads)
-    if (T->State == ThreadState::Blocked)
+  Threads.forEach([&N](const Thread &T) {
+    if (T.State == ThreadState::Blocked)
       N += 1;
+  });
   return N;
 }
 
@@ -65,28 +66,33 @@ void Scheduler::endRun() {
 void Scheduler::abortRun() {
   // Every thread that has not finished is in an unrecoverable state (its
   // one-shot resume point may be gone); drop them all rather than resume
-  // into garbage.  Done threads keep their results for thread-join.
-  for (auto &T : Threads) {
-    if (T->State == ThreadState::Done)
-      continue;
-    T->State = ThreadState::Done;
-    T->Started = true;
-    T->Thunk = Value();
-    T->Resume = Value();
-    T->Wake = Value();
-    T->Result = Value::unspecified();
-    T->Ctx = SchedContext();
-    T->Joiners.clear();
-    T->PendingError.clear();
-    T->PendingErrorKind = ErrorKind::Runtime;
-    T->Deadlines.clear();
-    T->EscapeProc = Value();
-  }
+  // into garbage.  Done threads keep their results for thread-join; the
+  // detached ones have no result to keep and are freed.
+  std::vector<Handle> Detached;
+  Threads.forEach([&Detached](Thread &T) {
+    if (T.Detached)
+      Detached.push_back(T.Id);
+    if (T.State == ThreadState::Done)
+      return;
+    T.State = ThreadState::Done;
+    T.Started = true;
+    T.Thunk = Value();
+    T.Resume = Value();
+    T.Wake = Value();
+    T.Result = Value::unspecified();
+    T.Ctx = SchedContext();
+    T.Joiners.clear();
+    T.PendingError.clear();
+    T.PendingErrorKind = ErrorKind::Runtime;
+    T.Deadlines.clear();
+    T.EscapeProc = Value();
+  });
+  for (Handle H : Detached)
+    Threads.free(H);
   Live = 0;
   ReadyQ.clear();
   Sleepers.clear();
-  for (auto &C : Channels)
-    C->clearWaiters();
+  Channels.forEach([](Channel &C) { C.clearWaiters(); });
   endRun();
 }
 
@@ -135,24 +141,7 @@ void Scheduler::finishCurrent(Value Result) {
   Thread *T = current();
   assert(T && "no current thread to finish");
   CurrentId = -1;
-  T->State = ThreadState::Done;
-  T->Thunk = Value();
-  T->Resume = Value();
-  T->Wake = Value();
-  T->Ctx = SchedContext();
-  T->Result = Result;
-  T->Deadlines.clear();
-  T->EscapeProc = Value();
-  assert(Live > 0);
-  Live -= 1;
-  CompletedThisRun += 1;
-  // Joiners resume with the finished thread's result.
-  for (uint32_t J : T->Joiners) {
-    Thread *W = lookup(J);
-    if (W && W->State == ThreadState::Blocked)
-      wake(*W, Result);
-  }
-  T->Joiners.clear();
+  retire(*T, Result);
 }
 
 bool Scheduler::cancel(Thread &T, Value Result) {
@@ -175,39 +164,49 @@ bool Scheduler::cancel(Thread &T, Value Result) {
     break;
   }
   OSC_TRACE(Tr, TraceEvent::NurseryCancel, T.Id);
-  T.State = ThreadState::Done;
   T.Started = true;
+  T.PendingError.clear();
+  T.PendingErrorKind = ErrorKind::Runtime;
+  S.NurseryCancels += 1;
+  // The one-shot resume point is poisoned, never run; joiners observe the
+  // cancellation result, exactly as for a normal exit.
+  retire(T, Result);
+  return true;
+}
+
+void Scheduler::retire(Thread &T, Value Result) {
+  T.State = ThreadState::Done;
   T.Thunk = Value();
-  T.Resume = Value(); // The one-shot resume point is poisoned, never run.
+  T.Resume = Value();
   T.Wake = Value();
   T.Ctx = SchedContext();
   T.Result = Result;
-  T.PendingError.clear();
-  T.PendingErrorKind = ErrorKind::Runtime;
   T.Deadlines.clear();
   T.EscapeProc = Value();
   assert(Live > 0);
   Live -= 1;
   CompletedThisRun += 1;
-  S.NurseryCancels += 1;
-  // Joiners observe the cancellation result, exactly as for a normal exit.
-  for (uint32_t J : T.Joiners) {
-    Thread *W = lookup(J);
+  for (Handle J : T.Joiners) {
+    Thread *W = lookup(static_cast<int64_t>(J));
     if (W && W->State == ThreadState::Blocked)
       wake(*W, Result);
   }
   T.Joiners.clear();
-  return true;
+  if (T.Detached) {
+    T.Result = Value();
+    Threads.free(T.Id);
+  }
 }
 
 void Scheduler::ageSleepers(int64_t Ticks) {
   if (Sleepers.empty())
     return;
-  // Expired sleepers join the run queue in spawn order so wake-up order is
-  // deterministic regardless of when each went to sleep.
-  std::vector<uint32_t> Expired;
+  // Expired sleepers join the run queue in handle order (spawn order until
+  // a slot is reused) so wake-up order is deterministic regardless of when
+  // each went to sleep.
+  std::vector<Handle> Expired;
   for (size_t I = 0; I != Sleepers.size();) {
-    Thread &T = *Threads[Sleepers[I]];
+    Thread &T = *lookup(static_cast<int64_t>(Sleepers[I]));
     T.SleepLeft -= Ticks;
     if (T.SleepLeft <= 0) {
       Expired.push_back(T.Id);
@@ -217,8 +216,8 @@ void Scheduler::ageSleepers(int64_t Ticks) {
     }
   }
   std::sort(Expired.begin(), Expired.end());
-  for (uint32_t Id : Expired) {
-    Thread &T = *Threads[Id];
+  for (Handle Id : Expired) {
+    Thread &T = *lookup(static_cast<int64_t>(Id));
     T.SleepLeft = 0;
     T.Wake = Value::unspecified();
     enqueueReady(T);
@@ -231,16 +230,16 @@ Scheduler::Next Scheduler::pickNext() {
   // fast-forwards to the nearest wake-up instead of spinning.
   ageSleepers(1);
   if (ReadyQ.empty() && !Sleepers.empty()) {
-    int64_t Nearest = Threads[Sleepers.front()]->SleepLeft;
-    for (uint32_t Id : Sleepers)
-      Nearest = std::min(Nearest, Threads[Id]->SleepLeft);
+    int64_t Nearest = lookup(static_cast<int64_t>(Sleepers.front()))->SleepLeft;
+    for (Handle Id : Sleepers)
+      Nearest = std::min(Nearest, lookup(static_cast<int64_t>(Id))->SleepLeft);
     ageSleepers(Nearest);
   }
   if (!ReadyQ.empty()) {
-    Thread &T = *Threads[ReadyQ.front()];
+    Thread &T = *lookup(static_cast<int64_t>(ReadyQ.front()));
     ReadyQ.pop_front();
     T.State = ThreadState::Running;
-    CurrentId = T.Id;
+    CurrentId = static_cast<int64_t>(T.Id);
     OSC_TRACE(Tr, TraceEvent::SchedSwitch, T.Started ? 1 : 0, T.Id);
     return {T.Started ? Next::Resume : Next::Start, &T};
   }
@@ -251,32 +250,30 @@ Scheduler::Next Scheduler::pickNext() {
   return {Next::Deadlock, nullptr};
 }
 
-uint32_t Scheduler::makeChannel(uint32_t Capacity) {
-  uint32_t Id = static_cast<uint32_t>(Channels.size());
-  Channels.push_back(std::make_unique<Channel>(Id, Capacity));
-  return Id;
+Handle Scheduler::makeChannel(uint32_t Capacity) {
+  return Channels.emplace(Capacity).id();
 }
 
 void Scheduler::traceRoots(GCVisitor &V) {
-  for (auto &T : Threads) {
-    V.visit(T->Thunk);
-    V.visit(T->Resume);
-    V.visit(T->Wake);
-    V.visit(T->Result);
-    V.visit(T->Ctx.Winders);
-    V.visit(T->Ctx.Nursery);
-    T->Ctx.Prompts.traceRoots(V);
-    V.visit(T->Ctx.TimerHandler);
-    V.visit(T->EscapeProc);
-    for (DeadlineRec &D : T->Deadlines)
+  // Live records only: a freed thread's slot holds nothing to trace.
+  Threads.forEach([&V](Thread &T) {
+    V.visit(T.Thunk);
+    V.visit(T.Resume);
+    V.visit(T.Wake);
+    V.visit(T.Result);
+    V.visit(T.Ctx.Winders);
+    V.visit(T.Ctx.Nursery);
+    T.Ctx.Prompts.traceRoots(V);
+    V.visit(T.Ctx.TimerHandler);
+    V.visit(T.EscapeProc);
+    for (DeadlineRec &D : T.Deadlines)
       V.visit(D.Proc);
-  }
+  });
   V.visit(MainK);
   V.visit(BaseWinders);
   V.visit(MainCtx.Winders);
   V.visit(MainCtx.Nursery);
   MainCtx.Prompts.traceRoots(V);
   V.visit(MainCtx.TimerHandler);
-  for (auto &C : Channels)
-    C->traceRoots(V);
+  Channels.forEach([&V](Channel &C) { C.traceRoots(V); });
 }

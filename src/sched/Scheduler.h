@@ -36,13 +36,13 @@
 #include "object/Value.h"
 #include "sched/Channel.h"
 #include "support/Error.h"
+#include "support/HandleTable.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 namespace osc {
@@ -83,8 +83,12 @@ public:
   };
 
   struct Thread {
-    uint32_t Id = 0;
+    explicit Thread(Handle Id) : Id(Id) {}
+
+    Handle Id;
     ThreadState State = ThreadState::Ready;
+    bool Detached = false; ///< Never joinable; the record is freed as soon
+                           ///< as the thread finishes or is cancelled.
     bool Started = false; ///< False until first dispatched (Thunk not yet run).
     Value Thunk;          ///< Start thunk; cleared on first dispatch.
     Value Resume; ///< One-shot continuation while suspended.  When the
@@ -96,7 +100,7 @@ public:
     Value Result; ///< Exit value once Done.
     SchedContext Ctx;      ///< Dynamic context saved while suspended.
     int64_t SleepLeft = 0; ///< Remaining sleep, in context switches.
-    std::vector<uint32_t> Joiners; ///< Threads blocked in (thread-join this).
+    std::vector<Handle> Joiners; ///< Threads blocked in (thread-join this).
     std::string PendingError; ///< Nonempty: raise this instead of resuming
                               ///< (e.g. the channel closed under a parked
                               ///< send, or a parked write hit EPIPE).
@@ -132,14 +136,15 @@ public:
 
   // --- Spawning and lookup --------------------------------------------------
 
-  /// Creates a Ready thread that will run \p Thunk; returns its id.
-  /// Threads may be spawned before a run or by running threads.
-  uint32_t spawn(Value Thunk);
-  Thread *lookup(int64_t Id) {
-    if (Id < 0 || static_cast<size_t>(Id) >= Threads.size())
-      return nullptr;
-    return Threads[static_cast<size_t>(Id)].get();
-  }
+  /// Creates a Ready thread that will run \p Thunk; returns its handle.
+  /// Threads may be spawned before a run or by running threads.  A
+  /// \p Detached thread cannot be joined, and its record is freed the
+  /// moment it finishes or is cancelled.
+  Handle spawn(Value Thunk, bool Detached = false);
+  /// The live thread \p Id names, or null (freed, or never a thread).
+  Thread *lookup(int64_t Id) { return Threads.get(Id); }
+  /// True when \p Id named a thread whose record has been freed.
+  bool freed(int64_t Id) const { return Threads.stale(Id); }
   Thread *current() { return CurrentId < 0 ? nullptr : lookup(CurrentId); }
   bool inThread() const { return CurrentId >= 0; }
 
@@ -179,6 +184,8 @@ public:
   /// Makes a Blocked or Sleeping thread runnable with \p WakeValue.
   void wake(Thread &T, Value WakeValue);
   /// Marks the current thread Done with \p Result and wakes its joiners.
+  /// A detached thread's record is freed: no reference to it may be used
+  /// after this call.
   void finishCurrent(Value Result);
   /// Retires a *non-running* thread as Done with \p Result without ever
   /// resuming it: removes it from the ready queue or sleeper list (blocked
@@ -186,7 +193,8 @@ public:
   /// already detached them from channels and the reactor), drops its
   /// poisoned resume state and wakes its joiners with \p Result.  The
   /// nursery teardown path (VM::threadCancel) drives this.  Returns false
-  /// when \p T is already Done or is the running thread.
+  /// when \p T is already Done or is the running thread.  Frees a
+  /// detached \p T's record, as finishCurrent does.
   bool cancel(Thread &T, Value Result);
   /// Picks the next transfer and, for Start/Resume, marks that thread
   /// Running.  Each call ages sleepers by one tick; when only sleepers
@@ -195,20 +203,15 @@ public:
 
   // --- Channels -------------------------------------------------------------
 
-  uint32_t makeChannel(uint32_t Capacity);
+  Handle makeChannel(uint32_t Capacity);
   /// Removes \p Tid from every channel wait queue — called when a deadline
   /// fires for a channel-blocked thread, so no later send/recv/close can
-  /// try to wake the already-escaped thread.
-  void dropFromChannels(uint32_t Tid) {
-    for (auto &C : Channels)
-      if (C->removeWaiter(Tid))
-        return; // A thread blocks on at most one channel.
+  /// try to wake the already-escaped thread.  (A thread blocks on at most
+  /// one channel.)
+  void dropFromChannels(Handle Tid) {
+    Channels.forEach([Tid](Channel &C) { C.removeWaiter(Tid); });
   }
-  Channel *channel(int64_t Id) {
-    if (Id < 0 || static_cast<size_t>(Id) >= Channels.size())
-      return nullptr;
-    return Channels[static_cast<size_t>(Id)].get();
-  }
+  Channel *channel(int64_t Id) { return Channels.get(Id); }
 
   // --- GC -------------------------------------------------------------------
 
@@ -217,19 +220,22 @@ public:
 
 private:
   void enqueueReady(Thread &T);
+  /// Clears a retired thread's resumption state and wakes its joiners
+  /// with \p Result; frees the record of a detached thread.
+  void retire(Thread &T, Value Result);
   /// Ages every sleeper by \p Ticks, moving the expired to the run queue in
-  /// spawn order (deterministic).
+  /// handle order (deterministic).
   void ageSleepers(int64_t Ticks);
 
   Stats &S;
   Trace *Tr = nullptr;
-  std::vector<std::unique_ptr<Thread>> Threads; ///< Index == thread id.
-  std::deque<uint32_t> ReadyQ;
-  std::vector<uint32_t> Sleepers;
-  std::vector<std::unique_ptr<Channel>> Channels; ///< Index == channel id.
+  HandleTable<Thread> Threads;
+  std::deque<Handle> ReadyQ;
+  std::vector<Handle> Sleepers;
+  HandleTable<Channel> Channels; ///< Never freed yet: ids stay dense.
 
   bool Active = false;
-  int64_t CurrentId = -1; ///< Running thread id, -1 when main runs.
+  int64_t CurrentId = -1; ///< Running thread's handle, -1 when main runs.
   int64_t Interval = 0;
   uint32_t Live = 0; ///< Threads not yet Done.
   uint64_t CompletedThisRun = 0;

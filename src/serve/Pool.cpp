@@ -120,9 +120,9 @@ std::unique_ptr<Interp> Pool::makeInterp(Worker &W, int LFd,
         return nullptr;
     }
     VM &M = I->vm();
-    uint32_t Lid = M.reactor().addPort(LFd, Port::Kind::Listener);
-    M.reactor().port(Lid)->setTcpPort(BoundPort);
-    I->defineGlobal("*listener*", Value::fixnum(Lid));
+    Handle Lid = M.reactor().addPort(LFd, Port::Kind::Listener);
+    M.reactor().port(static_cast<int64_t>(Lid))->setTcpPort(BoundPort);
+    I->defineGlobal("*listener*", Value::fixnum(static_cast<int64_t>(Lid)));
   }
   I->defineGlobal("*max-inflight*", Value::fixnum(Opt.MaxInflight));
   I->defineGlobal("*preempt*", Value::fixnum(Opt.PreemptInterval));
@@ -261,9 +261,7 @@ void Pool::workerMain(Worker &W) {
     // port table now (clients see EOF) but keep the object alive in the
     // graveyard — the acceptor may still be reading the Stats block
     // behind the Live pointer it loaded a moment ago.
-    Reactor &DeadRx = W.I->vm().reactor();
-    for (size_t PI = 0; PI != DeadRx.portCount(); ++PI)
-      DeadRx.port(static_cast<int64_t>(PI))->closeNow();
+    W.I->vm().reactor().forEachPort([](Port &P) { P.closeNow(); });
     {
       std::lock_guard<std::mutex> L(Mu);
       W.Carry += Dead - FreshBase;

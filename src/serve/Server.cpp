@@ -189,10 +189,21 @@ const char *Server::protocolSource() {
       (handle-stream conn (substring line 7 (string-length line)))
       (io-write conn (string-append (answer line) "\n"))))
 
+;; Closing drains what the client sent past the point where the server
+;; stopped listening (lines pipelined after QUIT, a shed client's
+;; request): a closed port's record is freed only once its buffered input
+;; has been read, and reading a closed port never parks.
+(define (close-conn conn)
+  (io-close conn)
+  (let drain ()
+    (if (not (eof-object? (io-read-line conn)))
+        (drain))))
+
 ;; One green thread per connection, one per request under the connection's
-;; nursery.  The reader takes a token and spawns the handler WITHOUT
-;; joining it (requests pipeline; a serial request/reply client sees no
-;; difference), so the connection owns a task tree: when the reader exits
+;; nursery.  The reader takes a token and spawns the handler detached —
+;; nothing ever joins it, so its record is freed the moment it finishes
+;; (requests pipeline; a serial request/reply client sees no
+;; difference), and the connection owns a task tree: when the reader exits
 ;; — QUIT, client EOF, or the reactor reaping a slow/idle connection and
 ;; waking the parked read with EOF — the nursery scope closes and every
 ;; still-parked handler is cancelled by one-shot poisoning, in spawn
@@ -206,7 +217,7 @@ const char *Server::protocolSource() {
       ((eof-object? line) (io-close conn))
       ((string=? line "QUIT")
        (io-write conn "BYE\n")
-       (io-close conn)
+       (close-conn conn)
        (on-quit))
       ;; MATCH/STREAM runs inline, not spawned: the handler reads chunk
       ;; lines off this very connection, so a spawned copy would race the
@@ -220,10 +231,10 @@ const char *Server::protocolSource() {
       (else
        (channel-send! %tokens 1)
        (bump 1)
-       (spawn (lambda ()
-                (handle-request conn line)
-                (channel-recv %tokens)
-                (bump -1)))
+       (spawn-detached (lambda ()
+                         (handle-request conn line)
+                         (channel-recv %tokens)
+                         (bump -1)))
        (conn-loop conn bump)))))
 
 ;; Overload protection.  %live-conns counts connections currently owned by
@@ -253,11 +264,11 @@ const char *Server::protocolSource() {
       (begin
         (serve-shed! conn)
         (io-write conn "BUSY\n")
-        (io-close conn))
+        (close-conn conn))
       (begin
         (if (> *conn-deadline-ms* 0)
             (io-set-deadline! conn *conn-deadline-ms*))
-        (spawn (lambda () (conn-thread conn))))))
+        (spawn-detached (lambda () (conn-thread conn))))))
 )scheme";
 }
 
@@ -301,11 +312,11 @@ bool Server::start() {
     return false;
   }
   VM &M = I->vm();
-  uint32_t Lid = M.reactor().addPort(Fd, Port::Kind::Listener);
-  M.reactor().port(Lid)->setTcpPort(P);
+  Handle Lid = M.reactor().addPort(Fd, Port::Kind::Listener);
+  M.reactor().port(static_cast<int64_t>(Lid))->setTcpPort(P);
   BoundPort = P;
 
-  I->defineGlobal("*listener*", Value::fixnum(Lid));
+  I->defineGlobal("*listener*", Value::fixnum(static_cast<int64_t>(Lid)));
   I->defineGlobal("*max-inflight*", Value::fixnum(Opt.MaxInflight));
   I->defineGlobal("*preempt*", Value::fixnum(Opt.PreemptInterval));
   I->defineGlobal("*max-conns*", Value::fixnum(Opt.MaxConns));

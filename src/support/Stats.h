@@ -42,6 +42,7 @@ namespace osc {
   X(ObjectsAllocated)   /* Total heap objects ever allocated. */               \
   X(GcCount)            /* Collections performed. */                           \
   X(GcBytesFreed)       /* Bytes reclaimed by all collections. */              \
+  X(GcLivePeak)         /* High-water mark of bytes live after a GC. */        \
   X(ClosuresAllocated)  /* Closure objects created (S5: the stack model's      \
                            Boyer allocates none). */                           \
   /* Control stack (src/core). */                                              \
@@ -77,6 +78,8 @@ namespace osc {
   X(VoluntaryYields)      /* Explicit (yield) calls. */                        \
   X(ChannelBlocks)        /* send/recv suspensions on full/empty. */           \
   X(RunQueuePeak)         /* High-water mark of the ready queue. */            \
+  X(ThreadSlotPeak)       /* High-water mark of thread records held at once    \
+                             (a detached thread's is freed when it ends). */   \
   X(ThreadsSpawned)       /* Green threads ever created. */                    \
   X(ChannelMessages)      /* Values accepted into a channel. */                \
   X(ChannelsClosed)       /* channel-close! calls that closed. */              \
@@ -87,6 +90,8 @@ namespace osc {
   X(IoParks)              /* Threads parked awaiting readiness. */             \
   X(IoWakes)              /* Parked threads handed back ready. */              \
   X(IoWaitPeak)           /* High-water mark of parked threads. */             \
+  X(PortSlotPeak)         /* High-water mark of port records held at once (a   \
+                             closed stream port's is freed once drained). */   \
   X(BytesRead)            /* Bytes moved fd -> input buffers. */               \
   X(BytesWritten)         /* Bytes moved output buffers -> fd. */              \
   X(AcceptedConnections)  /* Connections accepted or adopted. */               \

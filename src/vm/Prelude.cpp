@@ -174,11 +174,18 @@ const char *osc::preludeSource() {
 ;; the raw timer; an engine running inside a thread is preempted by its own
 ;; timer first (engine semantics win within its slice).
 ;;
-;; Thread and channel handles are fixnums.  channel-try-recv returns #f on
-;; an empty channel, so a program that sends #f itself should wrap payloads
-;; (e.g. in a one-element list) or use the blocking channel-recv.
+;; (spawn-detached thunk) is spawn for a thread nobody will join: its
+;; record is freed as soon as it finishes or is cancelled, and its handle
+;; then reads as done.  Thread, channel and port handles are opaque
+;; fixnums; a freed record's slot is reused under a new handle, and the
+;; old handle never reaches the new occupant.
+;;
+;; channel-try-recv returns #f on an empty channel, so a program that
+;; sends #f itself should wrap payloads (e.g. in a one-element list) or
+;; use the blocking channel-recv.
 
 (define spawn %spawn)
+(define spawn-detached %spawn-detached)
 (define (thread-exit v) (%thread-exit v))
 (define (thread-join tid) (%join tid))
 (define (thread-sleep! ticks) (%sleep ticks))

@@ -669,6 +669,10 @@ Value primVmStat(VM &Vm, Value *A, uint32_t) {
     V = St.ChannelBlocks;
   else if (N == "run-queue-peak")
     V = St.RunQueuePeak;
+  else if (N == "thread-slot-peak")
+    V = St.ThreadSlotPeak;
+  else if (N == "port-slot-peak")
+    V = St.PortSlotPeak;
   else if (N == "threads-spawned")
     V = St.ThreadsSpawned;
   else if (N == "channel-messages")
@@ -789,18 +793,25 @@ Value primTraceWind(VM &Vm, Value *A, uint32_t) {
 // --- Green threads and channels (src/sched) ---------------------------------
 //
 // Thread and channel handles are fixnum ids into the scheduler's tables:
-// cheap, printable and stable across a scheduler run.  The switching
-// operations (%yield, %join, ...) are specials dispatched in the VM loop;
-// the ones below never transfer control and are ordinary natives.
+// cheap and printable.  A detached thread's handle stays valid until the
+// thread ends; after that it reads as done, and its slot may be reused
+// under a new handle.  The switching operations (%yield, %join, ...) are
+// specials dispatched in the VM loop; the ones below never transfer
+// control and are ordinary natives.
 
 Value primSpawn(VM &Vm, Value *A, uint32_t) {
   if (!isObj<Closure>(A[0]) && !isObj<Native>(A[0]))
     return Vm.fail("spawn: not a procedure: " + writeToString(A[0]));
   return Vm.spawnThread(A[0]);
 }
+Value primSpawnDetached(VM &Vm, Value *A, uint32_t) {
+  if (!isObj<Closure>(A[0]) && !isObj<Native>(A[0]))
+    return Vm.fail("spawn-detached: not a procedure: " + writeToString(A[0]));
+  return Vm.spawnThread(A[0], /*Detached=*/true);
+}
 Value primSelf(VM &Vm, Value *, uint32_t) {
   Scheduler::Thread *T = Vm.scheduler().current();
-  return T ? Value::fixnum(T->Id) : Value::falseV();
+  return T ? Value::fixnum(static_cast<int64_t>(T->Id)) : Value::falseV();
 }
 Value primThreadCancel(VM &Vm, Value *A, uint32_t) {
   // Never transfers control (the target is by definition not the running
@@ -810,6 +821,8 @@ Value primThreadCancel(VM &Vm, Value *A, uint32_t) {
 Value primThreadState(VM &Vm, Value *A, uint32_t) {
   Scheduler::Thread *T =
       A[0].isFixnum() ? Vm.scheduler().lookup(A[0].asFixnum()) : nullptr;
+  if (!T && A[0].isFixnum() && Vm.scheduler().freed(A[0].asFixnum()))
+    return Value::object(Vm.heap().intern(threadStateName(ThreadState::Done)));
   if (!T)
     return Vm.fail("thread-state: not a thread id: " + writeToString(A[0]));
   return Value::object(Vm.heap().intern(threadStateName(T->State)));
@@ -817,8 +830,8 @@ Value primThreadState(VM &Vm, Value *A, uint32_t) {
 Value primChanMake(VM &Vm, Value *A, uint32_t) {
   if (!A[0].isFixnum() || A[0].asFixnum() < 0)
     return Vm.fail("make-channel: capacity must be a non-negative fixnum");
-  return Value::fixnum(
-      Vm.scheduler().makeChannel(static_cast<uint32_t>(A[0].asFixnum())));
+  return Value::fixnum(static_cast<int64_t>(
+      Vm.scheduler().makeChannel(static_cast<uint32_t>(A[0].asFixnum()))));
 }
 Value primChanTrySend(VM &Vm, Value *A, uint32_t) {
   Channel *Ch =
@@ -884,10 +897,10 @@ Value primChanClose(VM &Vm, Value *A, uint32_t) {
   // senders are poisoned with a trappable error — their value has nowhere
   // to go.
   Scheduler &Sc = Vm.scheduler();
-  for (uint32_t Tid : R.Receivers)
-    Sc.wake(*Sc.lookup(Tid), Vm.eofObject());
+  for (Handle Tid : R.Receivers)
+    Sc.wake(*Sc.lookup(static_cast<int64_t>(Tid)), Vm.eofObject());
   for (const Channel::PendingSend &P : R.Senders) {
-    Scheduler::Thread *St = Sc.lookup(P.Tid);
+    Scheduler::Thread *St = Sc.lookup(static_cast<int64_t>(P.Tid));
     St->PendingError = "channel-send!: channel " + std::to_string(Ch->id()) +
                        " was closed while a send was parked";
     Sc.wake(*St, Value::unspecified());
@@ -905,9 +918,11 @@ Value primChanClosedP(VM &Vm, Value *A, uint32_t) {
 // --- Ports and the I/O reactor (src/io) --------------------------------------
 //
 // Port handles are fixnum ids into the reactor's table, mirroring thread
-// and channel handles.  The blocking operations (%io-read-line, %io-write,
-// %io-accept, %io-close) are specials dispatched in the VM loop;
-// everything below never parks and runs as an ordinary native.
+// and channel handles.  A closed stream port's record is freed once its
+// buffered input is read; its handle then names a closed, empty port.
+// The blocking operations (%io-read-line, %io-write, %io-accept,
+// %io-close) are specials dispatched in the VM loop; everything below
+// never parks and runs as an ordinary native.
 
 Value primOpenPipe(VM &Vm, Value *, uint32_t) {
   int R = -1, W = -1;
@@ -915,9 +930,10 @@ Value primOpenPipe(VM &Vm, Value *, uint32_t) {
   if (!openPipePair(R, W, Err))
     return Vm.fail("open-pipe: " + Err);
   Reactor &Rx = Vm.reactor();
-  uint32_t Rid = Rx.addPort(R, Port::Kind::Stream);
-  uint32_t Wid = Rx.addPort(W, Port::Kind::Stream);
-  return cons(Vm.heap(), Value::fixnum(Rid), Value::fixnum(Wid));
+  Handle Rid = Rx.addPort(R, Port::Kind::Stream);
+  Handle Wid = Rx.addPort(W, Port::Kind::Stream);
+  return cons(Vm.heap(), Value::fixnum(static_cast<int64_t>(Rid)),
+              Value::fixnum(static_cast<int64_t>(Wid)));
 }
 Value primOpenSocketpair(VM &Vm, Value *, uint32_t) {
   int A = -1, B = -1;
@@ -925,9 +941,10 @@ Value primOpenSocketpair(VM &Vm, Value *, uint32_t) {
   if (!openSocketPairFds(A, B, Err))
     return Vm.fail("open-socketpair: " + Err);
   Reactor &Rx = Vm.reactor();
-  uint32_t Aid = Rx.addPort(A, Port::Kind::Stream);
-  uint32_t Bid = Rx.addPort(B, Port::Kind::Stream);
-  return cons(Vm.heap(), Value::fixnum(Aid), Value::fixnum(Bid));
+  Handle Aid = Rx.addPort(A, Port::Kind::Stream);
+  Handle Bid = Rx.addPort(B, Port::Kind::Stream);
+  return cons(Vm.heap(), Value::fixnum(static_cast<int64_t>(Aid)),
+              Value::fixnum(static_cast<int64_t>(Bid)));
 }
 Value primIoListen(VM &Vm, Value *A, uint32_t N) {
   uint16_t Port16 = 0;
@@ -940,9 +957,9 @@ Value primIoListen(VM &Vm, Value *A, uint32_t N) {
   int Fd = openListener(Port16, /*Backlog=*/128, Err);
   if (Fd < 0)
     return Vm.fail("io-listen: " + Err);
-  uint32_t Id = Vm.reactor().addPort(Fd, Port::Kind::Listener);
-  Vm.reactor().port(Id)->setTcpPort(Port16);
-  return Value::fixnum(Id);
+  Handle Id = Vm.reactor().addPort(Fd, Port::Kind::Listener);
+  Vm.reactor().port(static_cast<int64_t>(Id))->setTcpPort(Port16);
+  return Value::fixnum(static_cast<int64_t>(Id));
 }
 Port *portArg(VM &Vm, const char *Who, Value V) {
   Port *P = V.isFixnum() ? Vm.reactor().port(V.asFixnum()) : nullptr;
@@ -979,10 +996,10 @@ Value primIoTryAccept(VM &Vm, Value *A, uint32_t) {
     return Vm.eofObject();
   int NewFd = P->acceptConn();
   if (NewFd >= 0) {
-    uint32_t NewId = Vm.reactor().addPort(NewFd, Port::Kind::Stream);
+    Handle NewId = Vm.reactor().addPort(NewFd, Port::Kind::Stream);
     Vm.stats().AcceptedConnections += 1;
     OSC_TRACE(&Vm.trace(), TraceEvent::Accept, P->id(), NewId);
-    return Value::fixnum(NewId);
+    return Value::fixnum(static_cast<int64_t>(NewId));
   }
   if (NewFd == -2)
     return Vm.fail("io-try-accept: port " + std::to_string(P->id()) + ": " +
@@ -1028,7 +1045,8 @@ Value primIoSetDeadline(VM &Vm, Value *A, uint32_t) {
                    "fixnum, got " +
                    writeToString(A[1]));
   int64_t Ms = A[1].asFixnum();
-  P->setDeadlineTicks(Ms == 0 ? 0 : Vm.msToTicks(Ms));
+  if (!P->closed()) // Nothing parks on a closed port.
+    P->setDeadlineTicks(Ms == 0 ? 0 : Vm.msToTicks(Ms));
   return Value::unspecified();
 }
 Value primDeadlinePush(VM &Vm, Value *A, uint32_t) {
@@ -1261,6 +1279,7 @@ static const NativeDef PrimDefs[] = {
 
     // Green threads and channels (non-switching halves).
     {"%spawn", primSpawn, 1, 1},
+    {"%spawn-detached", primSpawnDetached, 1, 1},
     {"%thread-cancel!", primThreadCancel, 1, 1},
     {"current-thread", primSelf, 0, 0},
     {"thread-state", primThreadState, 1, 1},

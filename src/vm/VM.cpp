@@ -60,9 +60,10 @@ VM::VM(Heap &H, Stats &S, const Config &Cfg)
   Guard->SegSize = -1;
   ThreadGuard = Value::object(Guard);
 
-  Rx = std::make_unique<Reactor>();
+  Rx = std::make_unique<Reactor>(&S);
   Rx->setTickMs(this->Cfg.PollTickMs);
   Rx->setDefaultOutputCap(this->Cfg.MaxOutputBufferBytes);
+  Rx->setDefaultLineCap(this->Cfg.MaxLineBytes);
   // The EOF sentinel is an interned symbol the reader cannot produce
   // ("#<" is a read error), so (eq? x *eof*) is a safe end-of-stream test.
   EofObj = Value::object(H.intern("#<eof>"));
@@ -1153,6 +1154,14 @@ void VM::schedExit(Value V) {
 void VM::schedJoin(Value TidV, Site St) {
   Scheduler::Thread *T =
       TidV.isFixnum() ? Sched->lookup(TidV.asFixnum()) : nullptr;
+  // Only detached threads' records are ever freed, so a freed handle
+  // names one too.
+  if ((T && T->Detached) ||
+      (TidV.isFixnum() && Sched->freed(TidV.asFixnum()))) {
+    fail("thread-join: thread " + writeToString(TidV) +
+         " is detached and cannot be joined");
+    return;
+  }
   if (!T) {
     fail("thread-join: not a thread id: " + writeToString(TidV));
     return;
@@ -1196,9 +1205,9 @@ void VM::schedSleep(Value TicksV, Site St) {
   schedSuspendAndDispatch(K, Value::unspecified(), ThreadState::Sleeping);
 }
 
-Value VM::spawnThread(Value Thunk) {
-  uint32_t Tid = Sched->spawn(Thunk);
-  Scheduler::Thread *T = Sched->lookup(Tid);
+Value VM::spawnThread(Value Thunk, bool Detached) {
+  Handle Tid = Sched->spawn(Thunk, Detached);
+  Scheduler::Thread *T = Sched->lookup(static_cast<int64_t>(Tid));
   // Structured concurrency happens at spawn time, not start time: the child
   // inherits the spawner's *nursery* through its saved context (the Start
   // dispatch installs it), and an open nursery records the child so the
@@ -1213,24 +1222,27 @@ Value VM::spawnThread(Value Thunk) {
     // in place (no allocation) before the new child is consed on, so a
     // long-lived connection's list does not grow with the requests it has
     // served.  Cancelling a Done thread is a no-op, so the scope's exit
-    // behaves exactly as if they were still listed.
+    // behaves exactly as if they were still listed.  A child whose record
+    // was freed (a detached thread that ended) is finished too.
     Value *Link = &Rec->Elems[0];
     while (auto *Pr = dynObj<Pair>(*Link)) {
       Scheduler::Thread *C = Sched->lookup(Pr->Car.asFixnum());
-      if (C && C->State == ThreadState::Done)
+      if (!C || C->State == ThreadState::Done)
         *Link = Pr->Cdr;
       else
         Link = &Pr->Cdr;
     }
-    Rec->Elems[0] =
-        Value::object(H.allocPair(Value::fixnum(Tid), Rec->Elems[0]));
+    Rec->Elems[0] = Value::object(H.allocPair(
+        Value::fixnum(static_cast<int64_t>(Tid)), Rec->Elems[0]));
   }
-  return Value::fixnum(Tid);
+  return Value::fixnum(static_cast<int64_t>(Tid));
 }
 
 Value VM::threadCancel(Value TidV) {
   Scheduler::Thread *T =
       TidV.isFixnum() ? Sched->lookup(TidV.asFixnum()) : nullptr;
+  if (!T && TidV.isFixnum() && Sched->freed(TidV.asFixnum()))
+    return Value::boolean(false); // A detached thread that already ended.
   if (!T) {
     fail("%thread-cancel!: not a thread id: " + writeToString(TidV));
     return Value();
@@ -1245,7 +1257,7 @@ Value VM::threadCancel(Value TidV) {
     K->markShot();
   // Detach from every structure that could still wake or complete it:
   // channel wait queues and the reactor's waiter registry (fd waits and
-  // armed Timer records alike).
+  // armed Timer records alike).  cancel may free a detached T's record.
   Sched->dropFromChannels(T->Id);
   Rx->dropWaitersFor(T->Id);
   Value Cancelled = Value::object(H.intern("cancelled"));
@@ -1351,7 +1363,7 @@ Port *ioPortArg(VM &Vm, const char *Who, Value PortV, Port::Kind Want) {
     return nullptr;
   }
   if (P->kind() != Want) {
-    Vm.fail(std::string(Who) + ": port " + std::to_string(P->id()) +
+    Vm.fail(std::string(Who) + ": port " + writeToString(PortV) +
                 (Want == Port::Kind::Listener ? " is not a listener"
                                               : " is not a stream"),
             ErrorKind::Io);
@@ -1365,7 +1377,7 @@ Port *ioPortArg(VM &Vm, const char *Who, Value PortV, Port::Kind Want) {
 void VM::ioPark(Port *P, int OpRaw, Site St) {
   S.IoParks += 1;
   Scheduler::Thread *T = Sched->current();
-  uint32_t Tid = T->Id;
+  Handle Tid = T->Id;
   OSC_TRACE(&Tr, TraceEvent::IoWait, P->id(), static_cast<uint64_t>(OpRaw),
             Tid);
   // Earliest of the thread's armed with-deadline extent and the port's own
@@ -1393,6 +1405,7 @@ void VM::ioReadLine(Value PortV, Site St) {
   for (;;) {
     std::string Line;
     if (P->takeLine(Line)) {
+      Rx->reclaim(P); // Frees a closed port once this drained it.
       nativeReturn(Value::object(H.allocString(Line)), St);
       return;
     }
@@ -1403,13 +1416,16 @@ void VM::ioReadLine(Value PortV, Site St) {
     uint64_t NIn = 0;
     Port::Io R = P->fillInput(NIn);
     S.BytesRead += NIn;
-    if (R == Port::Io::Reset && Sched->inThread()) {
-      // A peer reset ends the connection, not the run: reap the port and
-      // let takeLine hand out what is buffered, then EOF.
-      ioDropPort(P, /*Reason=*/2);
+    if ((R == Port::Io::Reset || R == Port::Io::Overlong) &&
+        Sched->inThread()) {
+      // A peer reset (or an endless line) ends the connection, not the
+      // run: reap the port and let takeLine hand out what is buffered,
+      // then EOF.
+      ioDropPort(P, R == Port::Io::Reset ? 2 : 3);
       continue;
     }
-    if (R == Port::Io::Error || R == Port::Io::Reset) {
+    if (R == Port::Io::Error || R == Port::Io::Reset ||
+        R == Port::Io::Overlong) {
       fail("io-read-line: port " + std::to_string(P->id()) + ": " +
                P->lastError(),
            ErrorKind::Io);
@@ -1440,10 +1456,15 @@ void VM::ioWrite(Value PortV, Value StrV, Site St) {
     fail("io-write: not a string: " + writeToString(StrV));
     return;
   }
-  if (P->closed() && Sched->inThread()) {
-    // The connection is gone (reaped, reset or closed under us): this
-    // writer sees #f, like one that was parked when the port dropped.
-    nativeReturn(Value::boolean(false), St);
+  if (P->closed()) {
+    // The connection is gone (reaped, reset or closed under us): a thread
+    // sees #f, like a writer that was parked when the port dropped; the
+    // main computation gets the error.
+    if (Sched->inThread())
+      nativeReturn(Value::boolean(false), St);
+    else
+      fail("io-write: port " + writeToString(PortV) + ": port is closed",
+           ErrorKind::Io);
     return;
   }
   // Inside a thread the string is only queued: the port is written once
@@ -1516,10 +1537,10 @@ void VM::ioAccept(Value PortV, Site St) {
     }
     int NewFd = P->acceptConn();
     if (NewFd >= 0) {
-      uint32_t NewId = Rx->addPort(NewFd, Port::Kind::Stream);
+      Handle NewId = Rx->addPort(NewFd, Port::Kind::Stream);
       S.AcceptedConnections += 1;
       OSC_TRACE(&Tr, TraceEvent::Accept, P->id(), NewId);
-      nativeReturn(Value::fixnum(NewId), St);
+      nativeReturn(Value::fixnum(static_cast<int64_t>(NewId)), St);
       return;
     }
     if (NewFd == -2) {
@@ -1555,15 +1576,15 @@ Value VM::ioTryTakeConn() {
   Rx->drainWakeup();
   ConnQueue::Pop R = ConnQ->pop();
   if (R.Fd >= 0) {
-    uint32_t NewId = Rx->addAdoptedPort(R.Fd, Port::Kind::Stream);
+    Handle NewId = Rx->addAdoptedPort(R.Fd, Port::Kind::Stream);
     S.AcceptedConnections += 1;
     // Same event as io-accept; p0 is the wakeup port standing in for the
     // (remote) listener.  Port ids, never fds, so dumps stay deterministic.
     OSC_TRACE(&Tr, TraceEvent::Accept,
-              static_cast<uint32_t>(Rx->wakeupPortId()), NewId);
+              static_cast<uint64_t>(Rx->wakeupPortId()), NewId);
     if (ConnQ->size() > 0)
       Rx->notify(); // The drain may have eaten other handoffs' bytes; re-arm.
-    return Value::fixnum(NewId);
+    return Value::fixnum(static_cast<int64_t>(NewId));
   }
   if (R.Closed)
     return EofObj;
@@ -1629,15 +1650,24 @@ bool VM::ioComplete(const PendingIo &P) {
   switch (P.Op) {
   case IoOp::ReadLine: {
     std::string Line;
-    if (Pt->takeLine(Line))
+    auto WakeWithLine = [&] {
+      Rx->reclaim(Pt); // Frees a closed port once this drained it.
       return WakeWith(Value::object(H.allocString(Line)));
+    };
+    if (Pt->takeLine(Line))
+      return WakeWithLine();
     if (Pt->closed() || Pt->atEof())
       return WakeWith(EofObj);
     uint64_t NIn = 0;
     Port::Io R = Pt->fillInput(NIn);
     S.BytesRead += NIn;
+    if (R == Port::Io::Overlong) {
+      Rx->repark(P); // Rejoin the port's waiter list; the drop wakes it.
+      ioDropPort(Pt, /*Reason=*/3);
+      return true;
+    }
     if (Pt->takeLine(Line))
-      return WakeWith(Value::object(H.allocString(Line)));
+      return WakeWithLine();
     if (R == Port::Io::Eof)
       return WakeWith(EofObj); // No terminated tail either: end of stream.
     if (R == Port::Io::Reset) {
@@ -1683,11 +1713,11 @@ bool VM::ioComplete(const PendingIo &P) {
       return WakeWith(EofObj);
     int NewFd = Pt->acceptConn();
     if (NewFd >= 0) {
-      uint32_t NewId = Rx->addPort(NewFd, Port::Kind::Stream);
+      Handle NewId = Rx->addPort(NewFd, Port::Kind::Stream);
       S.AcceptedConnections += 1;
       S.AcceptBatches += 1;
       OSC_TRACE(&Tr, TraceEvent::Accept, Pt->id(), NewId);
-      return WakeWith(Value::fixnum(NewId));
+      return WakeWith(Value::fixnum(static_cast<int64_t>(NewId)));
     }
     if (NewFd == -2)
       return Poison("io-accept: port " + std::to_string(Pt->id()) + ": " +
@@ -1788,8 +1818,8 @@ void VM::armBlockTimer() {
     S.IoWaitDeadlinePeak = Rx->timedWaiterCount();
 }
 
-bool VM::fireThreadDeadline(uint32_t Tid, uint32_t PortId, int OpRaw) {
-  Scheduler::Thread *T = Sched->lookup(Tid);
+bool VM::fireThreadDeadline(Handle Tid, Handle PortId, int OpRaw) {
+  Scheduler::Thread *T = Sched->lookup(static_cast<int64_t>(Tid));
   if (!T || T->State != ThreadState::Blocked)
     return false;
   // The record to honor: earliest expiry tick, innermost extent (highest
@@ -1860,6 +1890,7 @@ void VM::ioDropPort(Port *P, uint64_t Reason) {
                                         : EofObj);
     }
   }
+  Rx->reclaim(P);
 }
 
 bool VM::ioExpire(const PendingIo &P) {
@@ -1926,19 +1957,22 @@ bool VM::ioPollAndWake(int TimeoutMs) {
 }
 
 void VM::ioClosePort(Port *P) {
-  if (!P)
+  // Closing twice is a no-op: the first close took every waiter, and
+  // nothing parks on a closed port.
+  if (!P || P->closed())
     return;
   // Wake everyone parked on this port first: with the fd closed, each
   // completion sees EOF (readers drain any buffered tail), and parked
   // writers are poisoned with a trappable error.
   std::vector<PendingIo> Ws = Rx->takeWaitersFor(P->id());
-  if (P->kind() == Port::Kind::Stream && !P->closed())
+  if (P->kind() == Port::Kind::Stream)
     S.ConnectionsClosed += 1;
   P->closeNow();
   // A closed port never re-parks: every completion wakes (or the waiter
   // was stale and its thread already gone).
   for (const PendingIo &W : Ws)
     ioComplete(W);
+  Rx->reclaim(P);
 }
 
 void VM::ioClose(Value PortV, Site St) {
@@ -1970,8 +2004,8 @@ bool VM::ioFlush(Port *P) {
 }
 
 void VM::ioFlushUnsent() {
-  for (uint32_t Id : Rx->takeUnsent()) {
-    Port *P = Rx->port(Id);
+  for (Handle Id : Rx->takeUnsent()) {
+    Port *P = Rx->port(static_cast<int64_t>(Id));
     if (!P->closed() && P->outputPending() && !ioFlush(P))
       Rx->parkFlush(Id);
   }

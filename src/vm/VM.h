@@ -22,6 +22,7 @@
 #include "object/Objects.h"
 #include "support/Error.h"
 #include "support/Fault.h"
+#include "support/HandleTable.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -153,17 +154,19 @@ public:
   /// (%spawn thunk): creates the green thread and, when the spawner holds
   /// an open nursery, records the child in it and arranges for the child
   /// to inherit it (structured concurrency at spawn time, in one native
-  /// call).  Returns the thread id as a fixnum.
-  Value spawnThread(Value Thunk);
+  /// call).  Returns the thread's handle as a fixnum.  A \p Detached
+  /// thread (spawn-detached) cannot be joined; its record is freed when it
+  /// finishes or is cancelled, and its handle then reads as done.
+  Value spawnThread(Value Thunk, bool Detached = false);
 
   /// (%thread-cancel! tid): deadline-style poisoning of a parked/ready
   /// green thread — marks its one-shot resume point shot (never
   /// reinstated; zero words copied), removes it from every wait structure
   /// (ready queue, sleepers, channels, reactor) and retires it as Done
   /// with the 'cancelled symbol, waking joiners.  #t if the thread was
-  /// retired, #f if it was already done or is the running thread.  The
-  /// nursery layer (prelude) drives this for scope teardown; public so
-  /// the plain %thread-cancel! native can reach it.
+  /// retired, #f if it was already done (or freed) or is the running
+  /// thread.  The nursery layer (prelude) drives this for scope teardown;
+  /// public so the plain %thread-cancel! native can reach it.
   Value threadCancel(Value TidV);
 
   // --- I/O reactor (src/io) --------------------------------------------------
@@ -388,10 +391,11 @@ private:
   /// deadline record, if any — called just before a channel block parks.
   void armBlockTimer();
   /// Escape-or-poison delivery for thread \p Tid whose wait expired.
-  bool fireThreadDeadline(uint32_t Tid, uint32_t PortId, int OpRaw);
+  bool fireThreadDeadline(Handle Tid, Handle PortId, int OpRaw);
   /// Overload defense: drops \p P (trace io-drop with \p Reason, count it
   /// reaped+closed, wake its waiters against the closed fd).  Reasons:
-  /// 0 output cap, 1 port deadline, 2 peer reset or failed flush.
+  /// 0 output cap, 1 port deadline, 2 peer reset or failed flush, 3 a line
+  /// longer than Config::MaxLineBytes.
   void ioDropPort(Port *P, uint64_t Reason);
   /// Runs the reactor until at least one parked thread wakes; false on
   /// poll timeout.  The wall budget spans poll batches: with deadlines

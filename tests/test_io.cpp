@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -360,6 +361,125 @@ TEST(IoAccept, AcceptedSocketsHaveNoDelay) {
   EXPECT_EQ(L.acceptConn(), -1); // Nothing else pending.
   ::close(S);
   ::close(C);
+}
+
+// --- Line framing (Port, no interpreter) -------------------------------------
+
+namespace {
+
+/// A socketpair whose first end is wrapped in a Port; the test writes the
+/// other end.
+struct PortPair {
+  PortPair() {
+    std::string E;
+    EXPECT_TRUE(openSocketPairFds(A, B, E)) << E;
+    P = std::make_unique<Port>(0, A, Port::Kind::Stream);
+  }
+  ~PortPair() {
+    if (B >= 0)
+      ::close(B);
+  }
+  void send(const std::string &S) {
+    ASSERT_EQ(::write(B, S.data(), S.size()), static_cast<ssize_t>(S.size()));
+  }
+  Port::Io fill() { return P->fillInput(In); }
+  int A = -1, B = -1;
+  uint64_t In = 0;
+  std::unique_ptr<Port> P;
+};
+
+} // namespace
+
+TEST(PortFraming, ManyLinesInOneFill) {
+  PortPair Pp;
+  std::string Batch;
+  for (int I = 0; I != 2000; ++I)
+    Batch += "line " + std::to_string(I) + "\n";
+  Pp.send(Batch);
+  EXPECT_EQ(Pp.fill(), Port::Io::Progress);
+  EXPECT_EQ(Pp.In, Batch.size());
+  std::string L;
+  for (int I = 0; I != 2000; ++I) {
+    ASSERT_TRUE(Pp.P->takeLine(L)) << I;
+    ASSERT_EQ(L, "line " + std::to_string(I));
+  }
+  EXPECT_FALSE(Pp.P->takeLine(L));
+  EXPECT_EQ(Pp.P->inputBuffered(), 0u);
+}
+
+TEST(PortFraming, CrLfSplitAcrossFills) {
+  PortPair Pp;
+  std::string L;
+  Pp.send("abc\r");
+  EXPECT_EQ(Pp.fill(), Port::Io::Progress);
+  EXPECT_FALSE(Pp.P->takeLine(L)); // No newline yet.
+  Pp.send("\ndef\r");
+  EXPECT_EQ(Pp.fill(), Port::Io::Progress);
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, "abc");
+  EXPECT_FALSE(Pp.P->takeLine(L));
+  Pp.send("\n");
+  EXPECT_EQ(Pp.fill(), Port::Io::Progress);
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, "def");
+  EXPECT_EQ(Pp.P->inputBuffered(), 0u);
+}
+
+TEST(PortFraming, EofTailAfterACompaction) {
+  PortPair Pp;
+  // Taking the two long lines moves the read cursor past half the buffer,
+  // which compacts it; the short line and the tail must survive that.
+  Pp.send(std::string(100, 'a') + "\n" + std::string(100, 'b') + "\nc\ntail");
+  EXPECT_EQ(Pp.fill(), Port::Io::Progress);
+  std::string L;
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, std::string(100, 'a'));
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, std::string(100, 'b'));
+  EXPECT_EQ(Pp.P->inputBuffered(), 6u); // "c\ntail"
+  ::close(Pp.B);
+  Pp.B = -1;
+  EXPECT_EQ(Pp.fill(), Port::Io::Eof);
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, "c");
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, "tail");
+  EXPECT_FALSE(Pp.P->takeLine(L));
+}
+
+TEST(PortFraming, LineCapDiscardsTheOverlongTailOnly) {
+  PortPair Pp;
+  Pp.P->setLineCap(16);
+  Pp.send("ok\n" + std::string(10, 'x'));
+  EXPECT_EQ(Pp.fill(), Port::Io::Progress); // 10 unterminated bytes: fine.
+  Pp.send(std::string(10, 'y'));
+  EXPECT_EQ(Pp.fill(), Port::Io::Overlong); // 20 > 16.
+  EXPECT_NE(Pp.P->lastError().find("16"), std::string::npos);
+  // The complete line ahead of the overlong one is still there; the
+  // partial line is gone, so after the close it is not a final line.
+  std::string L;
+  ASSERT_TRUE(Pp.P->takeLine(L));
+  EXPECT_EQ(L, "ok");
+  Pp.P->closeNow();
+  EXPECT_FALSE(Pp.P->takeLine(L));
+}
+
+TEST(IoWriteSide, OverlongLineReapsThePortAndTheReaderSeesEof) {
+  Config C;
+  C.MaxLineBytes = 64;
+  Interp I(C);
+  EXPECT_EQ(run(I, "(define p (open-pipe))"
+                   "(define rd (car p)) (define wr (cdr p))"
+                   "(io-write wr \"first\n\")"
+                   "(define (grow s n)"
+                   "  (if (zero? n) s (grow (string-append s s) (- n 1))))"
+                   "(io-write wr (grow \"zzzz\" 5))" // 128 bytes, no newline
+                   "(define t (spawn (lambda ()"
+                   "  (let* ((a (io-read-line rd)) (b (io-read-line rd)))"
+                   "    (list a (eof-object? b) (io-closed? rd))))))"
+                   "(scheduler-run)"
+                   "(list (thread-join t) (vm-stat 'conns-reaped))"),
+            "((\"first\" #t #t) 1)");
 }
 
 // --- Determinism -------------------------------------------------------------

@@ -266,6 +266,39 @@ TEST(Overload, PoolShedsPastMaxConns) {
   EXPECT_EQ(D.RequestsServed, 1u);
 }
 
+// --- Line cap ----------------------------------------------------------------
+
+TEST(Overload, PoolDropsAClientWhoseLineNeverEnds) {
+  // One client streams bytes with no newline past Config::MaxLineBytes:
+  // its port is reaped (io-drop reason 3), its reader sees EOF and the
+  // connection unwinds like any other reap.  A concurrent connection is
+  // served throughout.
+  ServeOptions O;
+  O.Workers = 1;
+  O.VmCfg.MaxLineBytes = 1024;
+  Pool P(O);
+  ASSERT_TRUE(P.start()) << P.error();
+  std::string E;
+  Client Good, Flood;
+  ASSERT_TRUE(Good.connect(P.tcpPort(), E)) << E;
+  ASSERT_TRUE(Flood.connect(P.tcpPort(), E)) << E;
+  EXPECT_EQ(ask(Good, "PING"), "PONG");
+  Stats::Snapshot B = P.snapshot(0);
+  std::string Chunk(512, 'x');
+  for (int K = 0; K != 8; ++K) // 4 KiB, no newline.
+    ASSERT_EQ(::write(Flood.fd(), Chunk.data(), Chunk.size()),
+              static_cast<ssize_t>(Chunk.size()));
+  std::string Reply;
+  EXPECT_FALSE(Flood.recvLine(Reply)); // Dropped: EOF, no reply.
+  EXPECT_EQ(ask(Good, "PING"), "PONG");
+  Stats::Snapshot A = P.snapshot(0);
+  EXPECT_EQ(A.ConnsReaped - B.ConnsReaped, 1u);
+  Flood.close();
+  Good.close();
+  P.stop();
+  ASSERT_TRUE(P.error().ok()) << P.error();
+}
+
 // --- Worker restart ----------------------------------------------------------
 
 namespace {
