@@ -85,12 +85,6 @@ struct Config {
   /// exceeded the connection is dropped (io-drop trace, ConnsReaped).
   /// Zero disables the cap.
   uint32_t MaxOutputBufferBytes = 1u << 20;
-  /// Hard cap in bytes on one line of buffered input.  A client that
-  /// streams bytes without a newline cannot grow a port's input buffer
-  /// without bound: once the unterminated input passes the cap the
-  /// connection is dropped (io-drop reason 3) and its reader sees EOF.
-  /// Zero disables the cap.
-  uint32_t MaxLineBytes = 1u << 20;
   /// When false, the scheduler's context-switch captures use multi-shot
   /// continuations (capture is still cheap; every *reinstatement* copies
   /// the suspended stack back word by word).  This is the call/cc baseline

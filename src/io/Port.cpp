@@ -78,11 +78,11 @@ Port::Io Port::fillInput(uint64_t &BytesIn) {
       InBuf.append(Chunk);
       BytesIn += static_cast<uint64_t>(N);
       Moved = true;
-      if (LineCap && InBuf.size() - LineEnd > LineCap) {
+      if (InBuf.size() - LineEnd > MaxLineBytes) {
         // A line this long is not a request: drop what there is of it
         // before it grows further.  Complete lines ahead of it stay.
         InBuf.resize(LineEnd);
-        Err = "line longer than " + std::to_string(LineCap) + " bytes";
+        Err = "line longer than " + std::to_string(MaxLineBytes) + " bytes";
         return Io::Overlong;
       }
       continue;

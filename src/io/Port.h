@@ -43,7 +43,7 @@ public:
     Eof,        ///< Peer closed its end (reads only).
     Reset,      ///< The peer reset the connection (ECONNRESET / EPIPE);
                 ///< lastError() has the message.
-    Overlong,   ///< Unterminated input passed the line cap (reads only);
+    Overlong,   ///< Unterminated input passed MaxLineBytes (reads only);
                 ///< the partial line was discarded.
     Error,      ///< Hard failure; lastError() has the message.
   };
@@ -84,16 +84,18 @@ public:
   /// costs its own length however many more are buffered behind it.
   bool takeLine(std::string &Out);
 
+  /// Cap in bytes on one unterminated line of input.  A client that
+  /// streams bytes without a newline cannot grow the input buffer without
+  /// bound: no request line comes near this.
+  static constexpr size_t MaxLineBytes = size_t{1} << 20;
+
   /// Reads everything currently available on the fd into the input buffer.
   /// \p BytesIn is incremented by the bytes moved.  Returns Overlong, and
   /// discards the partial line, as soon as the input after the last
-  /// newline passes the line cap (see setLineCap).
+  /// newline passes MaxLineBytes.
   Io fillInput(uint64_t &BytesIn);
 
   size_t inputBuffered() const { return InBuf.size() - InHead; }
-
-  /// Cap in bytes on one unterminated line; 0 disables.
-  void setLineCap(size_t Bytes) { LineCap = Bytes; }
 
   // --- Buffered output -------------------------------------------------------
 
@@ -155,7 +157,6 @@ private:
   std::string Err;
   bool FlushBlocked = false;   ///< The last flushOutput would block.
   size_t OutCap = 0;           ///< Output-buffer hard cap; 0 = unbounded.
-  size_t LineCap = 0;          ///< Unterminated-line cap; 0 = unbounded.
   uint64_t DeadlineTicks = 0;  ///< Per-park deadline distance; 0 = none.
 };
 

@@ -31,7 +31,7 @@ const char *osc::ioOpName(IoOp Op) {
   return "?";
 }
 
-Reactor::Reactor(Stats *St) : St(St) {
+Reactor::Reactor(Stats &St) : St(St) {
   // A peer may close mid-write at any time; without this the default
   // SIGPIPE disposition would kill the whole process instead of letting
   // flushOutput report EPIPE.
@@ -57,10 +57,7 @@ Handle Reactor::addAdoptedPort(int Fd, Port::Kind K) {
 
 Handle Reactor::place(Port &P) {
   P.setOutputCap(DefaultOutCap);
-  P.setLineCap(DefaultLineCap);
-  if (St)
-    St->PortSlotPeak =
-        std::max<uint64_t>(St->PortSlotPeak, Ports.slotCount());
+  St.PortSlotPeak = std::max<uint64_t>(St.PortSlotPeak, Ports.slotCount());
   return P.id();
 }
 

@@ -15,8 +15,8 @@
 /// Determinism: poll(2) readiness arrives as an unordered fd set, so one
 /// poll batch is sorted by (port id, registration seq) before it is handed
 /// back.  Port ids are handles into a HandleTable, allocated in program
-/// order (lowest free slot first, unlike raw fd numbers, which depend on
-/// what the OS recycles), so two runs of the same program against the
+/// order (the most recently freed slot first, unlike raw fd numbers, which
+/// depend on what the OS recycles), so two runs of the same program against the
 /// same peer behavior wake threads in the same order and produce
 /// byte-identical IoWait/IoReady traces.
 ///
@@ -92,9 +92,9 @@ struct PendingIo {
 class Reactor {
 public:
   /// Ignores SIGPIPE process-wide (once): broken-pipe writes must surface
-  /// as EPIPE errors on the port, not kill the host.  \p St, when given,
-  /// receives PortSlotPeak.
-  explicit Reactor(Stats *St = nullptr);
+  /// as EPIPE errors on the port, not kill the host.  \p St receives
+  /// PortSlotPeak.
+  explicit Reactor(Stats &St);
   ~Reactor();
   Reactor(const Reactor &) = delete;
   Reactor &operator=(const Reactor &) = delete;
@@ -110,9 +110,6 @@ public:
   /// Output-buffer hard cap applied to every subsequently created port
   /// (0 = unbounded).  Set once from Config::MaxOutputBufferBytes.
   void setDefaultOutputCap(size_t Bytes) { DefaultOutCap = Bytes; }
-  /// Unterminated-line cap applied to every subsequently created port
-  /// (0 = unbounded).  Set once from Config::MaxLineBytes.
-  void setDefaultLineCap(size_t Bytes) { DefaultLineCap = Bytes; }
   /// The port \p Id names; the closed sentinel when its record was freed;
   /// null when \p Id was never a port.
   Port *port(int64_t Id) {
@@ -240,15 +237,14 @@ public:
   int64_t wakeupPortId() const { return WakePortId; }
 
 private:
-  /// Stamps the default caps on a new port and records the slot peak.
+  /// Stamps the output cap on a new port and records the slot peak.
   Handle place(Port &P);
 
-  Stats *St;
+  Stats &St;
   HandleTable<Port> Ports;
   /// What a freed port's handle resolves to: closed, empty, never freed.
   Port Closed{PendingIo::NoPort, -1, Port::Kind::Stream};
-  size_t DefaultOutCap = 0;  ///< queueOutput cap stamped on new ports.
-  size_t DefaultLineCap = 0; ///< fillInput line cap stamped on new ports.
+  size_t DefaultOutCap = 0; ///< queueOutput cap stamped on new ports.
   std::vector<PendingIo> Waiters;
   std::vector<Handle> Unsent; ///< Ports with queued, unflushed output.
   uint64_t NextSeq = 0;

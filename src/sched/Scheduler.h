@@ -209,7 +209,7 @@ public:
   /// try to wake the already-escaped thread.  (A thread blocks on at most
   /// one channel.)
   void dropFromChannels(Handle Tid) {
-    Channels.forEach([Tid](Channel &C) { C.removeWaiter(Tid); });
+    Channels.anyOf([Tid](Channel &C) { return C.removeWaiter(Tid); });
   }
   Channel *channel(int64_t Id) { return Channels.get(Id); }
 

@@ -189,10 +189,9 @@ const char *Server::protocolSource() {
       (handle-stream conn (substring line 7 (string-length line)))
       (io-write conn (string-append (answer line) "\n"))))
 
-;; Closing drains what the client sent past the point where the server
-;; stopped listening (lines pipelined after QUIT, a shed client's
-;; request): a closed port's record is freed only once its buffered input
-;; has been read, and reading a closed port never parks.
+;; Closing after QUIT drains the lines a client pipelined behind it: a
+;; closed port's record is freed only once its buffered input has been
+;; read, and reading a closed port never parks.
 (define (close-conn conn)
   (io-close conn)
   (let drain ()
@@ -264,7 +263,7 @@ const char *Server::protocolSource() {
       (begin
         (serve-shed! conn)
         (io-write conn "BUSY\n")
-        (close-conn conn))
+        (io-close conn))
       (begin
         (if (> *conn-deadline-ms* 0)
             (io-set-deadline! conn *conn-deadline-ms*))

@@ -10,9 +10,9 @@
 /// nothing sees exactly the dense 0, 1, 2, ... ids it always did.  Freeing
 /// an object bumps its slot's generation, so every handle to it goes stale
 /// at once: a lookup through it answers null and can never reach the
-/// slot's next occupant.  New objects take the *lowest* free slot, which
-/// keeps ids — and with them traces — a pure function of the program's
-/// allocation order, run to run.
+/// slot's next occupant.  New objects take the most recently freed slot
+/// (the free list is a stack), which keeps ids — and with them traces — a
+/// pure function of the program's allocations and frees, run to run.
 ///
 /// A freed object stays in its slot until the slot is reused, so a pointer
 /// taken before the free still reads the retired record (cleared by its
@@ -27,9 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -52,13 +50,13 @@ public:
     return Gen << 32 | Idx;
   }
 
-  /// Constructs T(handle, Args...) in the lowest free slot (appending one
-  /// when none is free) and returns it.
+  /// Constructs T(handle, Args...) in the most recently freed slot
+  /// (appending one when none is free) and returns it.
   template <typename... As> T &emplace(As &&...Args) {
     uint32_t Idx;
     if (!Free.empty()) {
-      Idx = Free.top();
-      Free.pop();
+      Idx = Free.back();
+      Free.pop_back();
     } else {
       Idx = static_cast<uint32_t>(Slots.size());
       Slots.emplace_back();
@@ -91,7 +89,7 @@ public:
     Slot &S = Slots[indexOf(H)];
     S.Live = false;
     if (++S.Gen <= MaxGen)
-      Free.push(indexOf(H));
+      Free.push_back(indexOf(H));
   }
 
   /// Slots ever used.  Since a slot is appended only when none is free,
@@ -103,6 +101,15 @@ public:
     for (const Slot &S : Slots)
       if (S.Live)
         Fn(*S.Obj);
+  }
+
+  /// Calls \p Pred on live objects, in slot order, until one answers
+  /// true; returns whether one did.
+  template <typename F> bool anyOf(F Pred) const {
+    for (const Slot &S : Slots)
+      if (S.Live && Pred(*S.Obj))
+        return true;
+    return false;
   }
 
 private:
@@ -119,7 +126,7 @@ private:
   }
 
   std::vector<Slot> Slots;
-  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>> Free;
+  std::vector<uint32_t> Free; ///< Freed slots, most recent last.
 };
 
 } // namespace osc

@@ -60,10 +60,9 @@ VM::VM(Heap &H, Stats &S, const Config &Cfg)
   Guard->SegSize = -1;
   ThreadGuard = Value::object(Guard);
 
-  Rx = std::make_unique<Reactor>(&S);
+  Rx = std::make_unique<Reactor>(S);
   Rx->setTickMs(this->Cfg.PollTickMs);
   Rx->setDefaultOutputCap(this->Cfg.MaxOutputBufferBytes);
-  Rx->setDefaultLineCap(this->Cfg.MaxLineBytes);
   // The EOF sentinel is an interned symbol the reader cannot produce
   // ("#<" is a read error), so (eq? x *eof*) is a safe end-of-stream test.
   EofObj = Value::object(H.intern("#<eof>"));

@@ -395,7 +395,7 @@ private:
   /// Overload defense: drops \p P (trace io-drop with \p Reason, count it
   /// reaped+closed, wake its waiters against the closed fd).  Reasons:
   /// 0 output cap, 1 port deadline, 2 peer reset or failed flush, 3 a line
-  /// longer than Config::MaxLineBytes.
+  /// longer than Port::MaxLineBytes.
   void ioDropPort(Port *P, uint64_t Reason);
   /// Runs the reactor until at least one parked thread wakes; false on
   /// poll timeout.  The wall budget spans poll batches: with deadlines

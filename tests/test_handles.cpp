@@ -1,7 +1,7 @@
 // Generation-tagged handles (src/support/HandleTable.h) and the records
 // they let the system free: detached green threads (spawn-detached) and
-// closed stream ports.  A freed slot is reused lowest-first under a new
-// generation; these tests pin down that no stale handle — held by Scheme
+// closed stream ports.  A freed slot is reused, most recently freed first,
+// under a new generation; these tests pin down that no stale handle — held by Scheme
 // code, a nursery list or a lazily cancelled reactor timer — ever reaches
 // the slot's next occupant, that freed handles answer what the retired
 // object answered (done / EOF / #f / closed), and that traces stay
@@ -48,35 +48,37 @@ TEST(HandleTable, GenerationZeroHandlesAreDenseIndices) {
   EXPECT_EQ(T.slotCount(), 3u);
 }
 
-TEST(HandleTable, FreedSlotsAreReusedLowestFirstUnderANewGeneration) {
+TEST(HandleTable, FreedSlotsAreReusedMostRecentFirstUnderANewGeneration) {
   HandleTable<Item> T;
   for (int I = 0; I != 4; ++I)
     T.emplace(I);
-  T.free(2);
   T.free(0);
+  T.free(2);
   EXPECT_EQ(T.get(0), nullptr);
   EXPECT_EQ(T.get(2), nullptr);
   EXPECT_TRUE(T.stale(0));
   EXPECT_FALSE(T.stale(1));
   EXPECT_FALSE(T.stale(4)); // Never issued.
   Handle A = T.emplace(10).H, B = T.emplace(20).H, C = T.emplace(30).H;
-  EXPECT_EQ(A, HandleTable<Item>::makeHandle(0, 1));
-  EXPECT_EQ(B, HandleTable<Item>::makeHandle(2, 1));
+  EXPECT_EQ(A, HandleTable<Item>::makeHandle(2, 1));
+  EXPECT_EQ(B, HandleTable<Item>::makeHandle(0, 1));
   EXPECT_EQ(C, 4u); // Nothing free: a new slot.
   // The stale handle never reaches the slot's next occupant.
   EXPECT_EQ(T.get(0), nullptr);
-  EXPECT_EQ(T.get(static_cast<int64_t>(A))->V, 10);
+  EXPECT_EQ(T.get(static_cast<int64_t>(B))->V, 20);
   EXPECT_EQ(T.slotCount(), 5u);
   int Sum = 0;
   T.forEach([&Sum](Item &It) { Sum += It.V; });
-  EXPECT_EQ(Sum, 10 + 1 + 20 + 3 + 30);
+  EXPECT_EQ(Sum, 20 + 1 + 10 + 3 + 30);
+  EXPECT_TRUE(T.anyOf([](Item &It) { return It.V == 3; }));
+  EXPECT_FALSE(T.anyOf([](Item &It) { return It.V == 2; })); // Freed.
 }
 
 // --- Detached threads --------------------------------------------------------
 
 TEST(Detached, RecordIsFreedWhenTheThreadFinishes) {
   Interp I;
-  // The finished thread's slot is the lowest free one, so the next spawn
+  // The finished thread's slot is the only free one, so the next spawn
   // takes it under generation 1; the old handle reads as done.
   EXPECT_EQ(run(I, "(define t (spawn-detached (lambda () 1)))"
                    "(scheduler-run)"

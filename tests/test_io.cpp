@@ -449,12 +449,18 @@ TEST(PortFraming, EofTailAfterACompaction) {
 
 TEST(PortFraming, LineCapDiscardsTheOverlongTailOnly) {
   PortPair Pp;
-  Pp.P->setLineCap(16);
-  Pp.send("ok\n" + std::string(10, 'x'));
-  EXPECT_EQ(Pp.fill(), Port::Io::Progress); // 10 unterminated bytes: fine.
-  Pp.send(std::string(10, 'y'));
-  EXPECT_EQ(Pp.fill(), Port::Io::Overlong); // 20 > 16.
-  EXPECT_NE(Pp.P->lastError().find("16"), std::string::npos);
+  Pp.send("ok\n");
+  // Feed one unterminated line in chunks the socket buffer holds, filling
+  // after each: at exactly the cap it is still a line in progress.
+  const std::string Chunk(16 * 1024, 'x');
+  for (size_t Sent = 0; Sent != Port::MaxLineBytes; Sent += Chunk.size()) {
+    Pp.send(Chunk);
+    ASSERT_EQ(Pp.fill(), Port::Io::Progress) << Sent;
+  }
+  Pp.send("y"); // One byte past the cap.
+  EXPECT_EQ(Pp.fill(), Port::Io::Overlong);
+  EXPECT_NE(Pp.P->lastError().find(std::to_string(Port::MaxLineBytes)),
+            std::string::npos);
   // The complete line ahead of the overlong one is still there; the
   // partial line is gone, so after the close it is not a final line.
   std::string L;
@@ -465,21 +471,28 @@ TEST(PortFraming, LineCapDiscardsTheOverlongTailOnly) {
 }
 
 TEST(IoWriteSide, OverlongLineReapsThePortAndTheReaderSeesEof) {
-  Config C;
-  C.MaxLineBytes = 64;
-  Interp I(C);
-  EXPECT_EQ(run(I, "(define p (open-pipe))"
+  // A green thread writes one line, then 1 MiB + 1 bytes with no newline
+  // in 64 KiB chunks.  The reader's port is reaped only once it has read
+  // the last byte, so the writer's output is all delivered by then and
+  // nothing else is dropped.
+  Interp I;
+  ASSERT_EQ(Port::MaxLineBytes, size_t{1} << 20);
+  EXPECT_EQ(run(I, "(define p (open-socketpair))"
                    "(define rd (car p)) (define wr (cdr p))"
-                   "(io-write wr \"first\n\")"
                    "(define (grow s n)"
                    "  (if (zero? n) s (grow (string-append s s) (- n 1))))"
-                   "(io-write wr (grow \"zzzz\" 5))" // 128 bytes, no newline
+                   "(define chunk (grow \"zzzz\" 14))" // 64 KiB
+                   "(define w (spawn (lambda ()" // #t: no write answered #f
+                   "  (let loop ((n 16) (ok (io-write wr \"first\n\")))"
+                   "    (if (zero? n) (and ok (io-write wr \"z\") #t)"
+                   "        (loop (- n 1) (and ok (io-write wr chunk))))))))"
                    "(define t (spawn (lambda ()"
                    "  (let* ((a (io-read-line rd)) (b (io-read-line rd)))"
                    "    (list a (eof-object? b) (io-closed? rd))))))"
                    "(scheduler-run)"
-                   "(list (thread-join t) (vm-stat 'conns-reaped))"),
-            "((\"first\" #t #t) 1)");
+                   "(list (thread-join w) (thread-join t)"
+                   "      (vm-stat 'conns-reaped))"),
+            "(#t (\"first\" #t #t) 1)");
 }
 
 // --- Determinism -------------------------------------------------------------

@@ -10,6 +10,7 @@
 //
 // Registered under the ctest label "serve".
 
+#include "io/Port.h"
 #include "osc.h"
 
 #include <gtest/gtest.h>
@@ -269,13 +270,12 @@ TEST(Overload, PoolShedsPastMaxConns) {
 // --- Line cap ----------------------------------------------------------------
 
 TEST(Overload, PoolDropsAClientWhoseLineNeverEnds) {
-  // One client streams bytes with no newline past Config::MaxLineBytes:
+  // One client streams bytes with no newline past Port::MaxLineBytes:
   // its port is reaped (io-drop reason 3), its reader sees EOF and the
   // connection unwinds like any other reap.  A concurrent connection is
   // served throughout.
   ServeOptions O;
   O.Workers = 1;
-  O.VmCfg.MaxLineBytes = 1024;
   Pool P(O);
   ASSERT_TRUE(P.start()) << P.error();
   std::string E;
@@ -284,10 +284,17 @@ TEST(Overload, PoolDropsAClientWhoseLineNeverEnds) {
   ASSERT_TRUE(Flood.connect(P.tcpPort(), E)) << E;
   EXPECT_EQ(ask(Good, "PING"), "PONG");
   Stats::Snapshot B = P.snapshot(0);
-  std::string Chunk(512, 'x');
-  for (int K = 0; K != 8; ++K) // 4 KiB, no newline.
-    ASSERT_EQ(::write(Flood.fd(), Chunk.data(), Chunk.size()),
-              static_cast<ssize_t>(Chunk.size()));
+  // 64 KiB chunks until just past the cap.  The server stops reading once
+  // the line passes it, so the write that crosses it may be cut short.
+  std::string Chunk(64 * 1024, 'x');
+  size_t Sent = 0;
+  while (Sent <= Port::MaxLineBytes) {
+    ssize_t N = ::send(Flood.fd(), Chunk.data(), Chunk.size(), MSG_NOSIGNAL);
+    if (N <= 0)
+      break;
+    Sent += static_cast<size_t>(N);
+  }
+  EXPECT_GT(Sent, Port::MaxLineBytes);
   std::string Reply;
   EXPECT_FALSE(Flood.recvLine(Reply)); // Dropped: EOF, no reply.
   EXPECT_EQ(ask(Good, "PING"), "PONG");
