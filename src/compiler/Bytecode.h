@@ -94,7 +94,7 @@ namespace osc {
   X(IsZero,            "zero?",                 0)                            \
   X(IsEq,              "eq?",                   0)                            \
   /* Superinstructions: the highest-frequency dynamic opcode pairs on the  */ \
-  /* bench_dispatch workloads (measured table in INTERNALS.md §14).        */ \
+  /* bench_dispatch workloads (measured table in INTERNALS.md §13).        */ \
   X(GetLocalPush,      "get-local+push",        1) /* off                  */ \
   X(ConstPush,         "const+push",            1) /* k                    */ \
   X(GetGlobalCall,     "get-global+call",       5) /* k gci ci n D         */ \

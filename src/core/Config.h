@@ -74,17 +74,6 @@ struct Config {
   /// peers (loopback clients) are real wall-clock actors, so unlike
   /// channel-only deadlock this cannot be decided structurally.
   int IoPollTimeoutMs = 10000;
-  /// Wall milliseconds per *virtual poll tick*, the deadline wheel's clock.
-  /// Deadlines are stored in ticks (ms / PollTickMs, min 1) and the tick
-  /// counter advances once per reactor poll batch, so traces that include
-  /// timeouts stay deterministic: the tick at which a deadline fires is a
-  /// function of the poll sequence, never of wall time.
-  int PollTickMs = 5;
-  /// Hard cap in bytes on a port's buffered-but-unsent output.  A client
-  /// that stops reading cannot pin unbounded memory: once the cap would be
-  /// exceeded the connection is dropped (io-drop trace, ConnsReaped).
-  /// Zero disables the cap.
-  uint32_t MaxOutputBufferBytes = 1u << 20;
   /// When false, the scheduler's context-switch captures use multi-shot
   /// continuations (capture is still cheap; every *reinstatement* copies
   /// the suspended stack back word by word).  This is the call/cc baseline

@@ -4,16 +4,15 @@
 /// Lock-free cross-thread connection handoff queue for the serving pool
 /// (src/serve).
 ///
-/// Producers (the pool's acceptor thread in CentralAcceptor mode, any
-/// host thread calling Pool::handoff) push accepted fds; exactly one
-/// consumer — the worker VM's `io-take-conn` primitive — pops them.  The
-/// queue is an MPSC Treiber stack with consumer-side batch reversal:
-/// push is one compare-exchange on the head pointer, pop swaps the whole
-/// pending chain out with a single exchange and drains it in FIFO order
-/// from a consumer-private buffer.  No mutex anywhere, so the acceptor
-/// never blocks behind a shard and a shard never blocks behind the
-/// acceptor; per-request park/wake traffic stays entirely on the
-/// worker's own thread.
+/// Producers (any host thread calling Pool::handoff) push connected fds;
+/// exactly one consumer — the worker VM's `io-take-conn` primitive — pops
+/// them.  The queue is an MPSC Treiber stack with consumer-side batch
+/// reversal: push is one compare-exchange on the head pointer, pop swaps
+/// the whole pending chain out with a single exchange and drains it in
+/// FIFO order from a consumer-private buffer.  No mutex anywhere, so a
+/// producer never blocks behind a shard and a shard never blocks behind a
+/// producer; per-request park/wake traffic stays entirely on the worker's
+/// own thread.
 ///
 /// Close semantics mirror Channel's channel-close!: after close() no new
 /// fd is accepted, but fds already queued drain first; pop() reports

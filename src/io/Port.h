@@ -99,12 +99,16 @@ public:
 
   // --- Buffered output -------------------------------------------------------
 
+  /// Cap in bytes on a port's buffered-but-unsent output.  A client that
+  /// stops reading cannot pin unbounded memory: no reply comes near this.
+  static constexpr size_t MaxOutputBytes = size_t{1} << 20;
+
   /// Appends to the output buffer.  Returns false — and queues nothing —
-  /// when the append would push the buffered-but-unsent output past the
-  /// cap (see setOutputCap): the caller must treat the port as a hopeless
-  /// slow client and drop it rather than buffer without bound.
+  /// when the append would push the buffered-but-unsent output past
+  /// MaxOutputBytes: the caller must treat the port as a hopeless slow
+  /// client and drop it rather than buffer without bound.
   bool queueOutput(std::string_view S) {
-    if (OutCap && OutBuf.size() - OutHead + S.size() > OutCap)
+    if (OutBuf.size() - OutHead + S.size() > MaxOutputBytes)
       return false;
     OutBuf.append(S);
     return true;
@@ -113,10 +117,6 @@ public:
   /// True while the output buffer holds bytes that the last flushOutput
   /// could not write (the fd would block).
   bool flushBlocked() const { return FlushBlocked && outputPending(); }
-
-  /// Hard cap in bytes on buffered output; 0 disables.
-  void setOutputCap(size_t Bytes) { OutCap = Bytes; }
-  size_t outputCap() const { return OutCap; }
 
   // --- Per-port deadline -----------------------------------------------------
   //
@@ -156,7 +156,6 @@ private:
   size_t OutHead = 0; ///< Bytes of OutBuf already written.
   std::string Err;
   bool FlushBlocked = false;   ///< The last flushOutput would block.
-  size_t OutCap = 0;           ///< Output-buffer hard cap; 0 = unbounded.
   uint64_t DeadlineTicks = 0;  ///< Per-park deadline distance; 0 = none.
 };
 

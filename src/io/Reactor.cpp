@@ -56,7 +56,6 @@ Handle Reactor::addAdoptedPort(int Fd, Port::Kind K) {
 }
 
 Handle Reactor::place(Port &P) {
-  P.setOutputCap(DefaultOutCap);
   St.PortSlotPeak = std::max<uint64_t>(St.PortSlotPeak, Ports.slotCount());
   return P.id();
 }

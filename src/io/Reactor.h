@@ -107,9 +107,6 @@ public:
   /// Port's adopting constructor) into the port table.
   Handle addAdoptedPort(int Fd, Port::Kind K);
 
-  /// Output-buffer hard cap applied to every subsequently created port
-  /// (0 = unbounded).  Set once from Config::MaxOutputBufferBytes.
-  void setDefaultOutputCap(size_t Bytes) { DefaultOutCap = Bytes; }
   /// The port \p Id names; the closed sentinel when its record was freed;
   /// null when \p Id was never a port.
   Port *port(int64_t Id) {
@@ -154,12 +151,14 @@ public:
   // clock advances exactly once per takeReady batch, so the tick at which
   // a deadline fires is a function of the poll sequence and traces that
   // include timeouts stay byte-identical run to run.  Wall time enters
-  // only as the per-batch poll clamp (tickMs) that keeps a tick roughly
-  // tickMs long when deadlines are armed.
+  // only as the per-batch poll clamp (TickMs) that keeps a tick roughly
+  // TickMs long when deadlines are armed.
+
+  /// Wall milliseconds per virtual tick: deadlines are stored in ticks
+  /// (ms / TickMs, minimum one).
+  static constexpr int TickMs = 5;
 
   uint64_t nowTick() const { return NowTick; }
-  int tickMs() const { return TickMs; }
-  void setTickMs(int Ms) { TickMs = Ms > 0 ? Ms : 1; }
 
   /// poll(2)s the waiters' fds for up to \p TimeoutMs (negative = forever)
   /// and removes-and-returns every waiter whose fd is ready, sorted by
@@ -169,7 +168,7 @@ public:
   ///
   /// Each call with a non-empty waiter set advances the tick clock once;
   /// when any waiter has an armed deadline the kernel wait is clamped to
-  /// tickMs() so ticks keep flowing, and waiters whose deadline has been
+  /// TickMs so ticks keep flowing, and waiters whose deadline has been
   /// reached (and that are not fd-ready — readiness wins) are removed and
   /// appended to \p Expired (same deterministic order) when it is non-null,
   /// or silently kept for the next batch when it is null.
@@ -237,19 +236,17 @@ public:
   int64_t wakeupPortId() const { return WakePortId; }
 
 private:
-  /// Stamps the output cap on a new port and records the slot peak.
+  /// Records the slot peak after a port is added.
   Handle place(Port &P);
 
   Stats &St;
   HandleTable<Port> Ports;
   /// What a freed port's handle resolves to: closed, empty, never freed.
   Port Closed{PendingIo::NoPort, -1, Port::Kind::Stream};
-  size_t DefaultOutCap = 0; ///< queueOutput cap stamped on new ports.
   std::vector<PendingIo> Waiters;
   std::vector<Handle> Unsent; ///< Ports with queued, unflushed output.
   uint64_t NextSeq = 0;
   uint64_t NowTick = 0; ///< Virtual tick clock; +1 per takeReady batch.
-  int TickMs = 5;       ///< Wall-ms clamp per batch when deadlines armed.
   int64_t WakePortId = -1; ///< Index of the Wakeup port, -1 if disabled.
   int WakeWriteFd = -1;    ///< Write end of the self-pipe (reactor-owned).
 };

@@ -9,12 +9,10 @@
 ///   osc::NativeDef       — {name, fn, arity} rows for defineNatives
 ///   osc::Error/ErrorKind — classified failures (support/Error.h)
 ///   osc::Stats::Snapshot — coherent counter copies (support/Stats.h)
-///   osc::ServeOptions    — the one options surface both serving fronts
-///                          take (serve/ServeOptions.h)
-///   osc::ListenMode      — the pool's accept path: per-shard
-///                          SO_REUSEPORT listeners or a central acceptor
-///   osc::Server          — the continuation-per-request eval server
-///   osc::Pool            — the sharded multi-worker serving pool
+///   osc::ServeOptions    — the serving pool's options
+///                          (serve/ServeOptions.h)
+///   osc::Pool            — the continuation-per-request serving pool,
+///                          sharded over one or more workers
 ///   osc::Client          — a blocking client for the line protocol
 ///
 /// Embedders should include this header and nothing under src/core,
@@ -39,7 +37,6 @@
 #include "serve/Client.h"
 #include "serve/Pool.h"
 #include "serve/ServeOptions.h"
-#include "serve/Server.h"
 #include "support/Error.h"
 #include "support/Stats.h"
 #include "vm/Interp.h"

@@ -489,7 +489,7 @@ struct Emitter {
 
 bool regex::compile(std::string_view Pattern, ProgramBuffer &Out,
                     std::string &Err) {
-  Parser P{Pattern};
+  Parser P{Pattern, 0, {}};
   NodePtr Root = P.parseAlt();
   if (!Root) {
     Err = P.Err.empty() ? "parse error" : P.Err;

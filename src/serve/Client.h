@@ -1,13 +1,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal blocking loopback client for the eval server's line protocol.
+/// A minimal blocking loopback client for the serving pool's line protocol.
 ///
-/// This is the *host* half of the story — what tests, benchmarks and the
-/// Server's own stop() handshake use to talk to a running server.  It is
-/// plain blocking POSIX I/O on purpose: the interesting machinery (parking
-/// on one-shot continuations) all lives on the server side, and the client
-/// must not depend on any of it.
+/// This is the *host* half of the story — what tests and examples use to
+/// talk to a running pool.  It is plain blocking POSIX I/O on purpose: the
+/// interesting machinery (parking on one-shot continuations) all lives on
+/// the server side, and the client must not depend on any of it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,55 +3,282 @@
 #include "io/ConnQueue.h"
 #include "io/Port.h"
 #include "io/Reactor.h"
-#include "serve/Server.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <sstream>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace osc;
 
-const char *osc::listenModeName(ListenMode M) {
-  return M == ListenMode::ReusePort ? "reuseport" : "central";
-}
+// The worker program.  Pure Scheme over the io/sched primitives so the
+// whole request path — accept, read, compute, write — runs on green
+// threads whose every wait is a parked one-shot continuation.  makeInterp
+// binds the globals it expects before the first eval.
+const char *Pool::workerSource() {
+  return R"scheme(
+;; Backpressure: a conn-loop takes a token before handling a request and
+;; returns it after, so at most *max-inflight* requests are in flight;
+;; the excess park in channel-send! like any other blocked sender.
+(define %tokens (make-channel *max-inflight*))
 
-// The worker programs: the shared protocol core, an on-quit that tears
-// down nothing beyond the connection (pool shutdown is host-driven, by
-// closing the handoff queue), and the mode's accept loop(s).
-const char *Pool::workerSource(ListenMode M) {
-  // CentralAcceptor: every io-take-conn parks this green thread on the
-  // reactor's wakeup port until the acceptor thread hands over a
-  // connection; EOF means the queue closed — wind down.
-  static const std::string Central =
-      std::string(Server::protocolSource()) + R"scheme(
-(define (on-quit) 'ok)
+(define (starts-with? s p)
+  (and (>= (string-length s) (string-length p))
+       (string=? (substring s 0 (string-length p)) p)))
 
-(define (worker-loop)
-  (let ((conn (io-take-conn)))
-    (if (eof-object? conn)
-        'closed
-        (begin
-          (admit-conn conn)
-          (worker-loop)))))
+;; A tiny fixnum calculator: the EVAL payload is data, never code.  Any
+;; shape this does not recognize — unbound names, non-fixnum leaves, a
+;; zero divisor — folds to 'err.
+(define (safe-eval-list l)
+  (cond ((null? l) '())
+        ((pair? l)
+         (let ((h (safe-eval (car l))))
+           (if (eq? h 'err)
+               'err
+               (let ((t (safe-eval-list (cdr l))))
+                 (if (eq? t 'err) 'err (cons h t))))))
+        (else 'err)))
 
-(spawn worker-loop)
-(scheduler-run *preempt*)
-)scheme";
-  // ReusePort: the hot path is the acceptor — the kernel load-balanced
-  // each connection to this shard's own SO_REUSEPORT listener, so the
-  // accept happens in-shard with no cross-thread traffic at all.  The
-  // taker is the host's control path: it parks on the wakeup pipe until
-  // Pool::handoff pushes a targeted connection (admitted exactly like an
-  // accepted one) or Pool::stop closes the queue — the shutdown signal,
-  // answered by closing the shard's listener so the parked acceptor
-  // wakes with EOF and the program winds down once connections drain.
-  static const std::string Reuse =
-      std::string(Server::protocolSource()) + R"scheme(
-(define (on-quit) 'ok)
+(define (safe-eval e)
+  (cond
+    ((integer? e) e)
+    ((pair? e)
+     (let ((op (car e)) (args (safe-eval-list (cdr e))))
+       (cond
+         ((eq? args 'err) 'err)
+         ((eq? op '+) (apply + args))
+         ((eq? op '*) (apply * args))
+         ((and (eq? op '-) (pair? args)) (apply - args))
+         ((and (eq? op 'quotient) (pair? args) (pair? (cdr args))
+               (null? (cdr (cdr args))) (not (= 0 (car (cdr args)))))
+          (quotient (car args) (car (cdr args))))
+         ((and (eq? op 'remainder) (pair? args) (pair? (cdr args))
+               (null? (cdr (cdr args))) (not (= 0 (car (cdr args)))))
+          (remainder (car args) (car (cdr args))))
+         ((and (eq? op '<) (pair? args) (pair? (cdr args)))
+          (if (apply < args) 1 0))
+         ((and (eq? op '=) (pair? args) (pair? (cdr args)))
+          (if (apply = args) 1 0))
+         ((and (eq? op 'min) (pair? args)) (apply min args))
+         ((and (eq? op 'max) (pair? args)) (apply max args))
+         (else 'err))))
+    (else 'err)))
 
+;; MATCH <pattern> <text>: whole-payload regex search.  The pattern ends
+;; at the first space that is neither inside a [...] class nor preceded
+;; by a backslash — so a literal space in a pattern is spelled [ ] or
+;; "\ "; everything after the separator, spaces included, is the text.
+;; Bad patterns answer ERR via regex-try-compile — a client typo must
+;; not unwind the connection thread.
+(define (pattern-split s)
+  (let loop ((i 0) (in-class #f) (esc #f))
+    (if (>= i (string-length s))
+        #f
+        (let ((c (substring s i (+ i 1))))
+          (cond
+            (esc (loop (+ i 1) in-class #f))
+            ((string=? c "\\") (loop (+ i 1) in-class #t))
+            ((and in-class (string=? c "]")) (loop (+ i 1) #f #f))
+            ((and (not in-class) (string=? c "[")) (loop (+ i 1) #t #f))
+            ((and (not in-class) (string=? c " ")) i)
+            (else (loop (+ i 1) in-class #f)))))))
+
+(define (match-reply r)
+  (if (pair? r)
+      (string-append "FOUND " (number->string (car r)) " "
+                     (number->string (cdr r)))
+      "NOMATCH"))
+
+(define (handle-match payload)
+  (let ((sp (pattern-split payload)))
+    (if (not sp)
+        "ERR"
+        (let ((re (regex-try-compile (substring payload 0 sp))))
+          (if (not re)
+              "ERR"
+              (let ((r (regex-search
+                        re (substring payload (+ sp 1)
+                                      (string-length payload)))))
+                (if r (match-reply r) "NOMATCH")))))))
+
+(define (answer line)
+  (cond
+    ((string=? line "PING") "PONG")
+    ((starts-with? line "EVAL ")
+     (let ((d (string->datum (substring line 5 (string-length line)))))
+       (if (eof-object? d)
+           "ERR"
+           (let ((v (safe-eval d)))
+             (if (eq? v 'err) "ERR" (number->string v))))))
+    ((starts-with? line "MATCH ")
+     (handle-match (substring line 6 (string-length line))))
+    (else "ERR")))
+
+;; STREAM (e1 e2 ...): one PART line per expression, then DONE.  The parts
+;; come out of a generator: each element's evaluation runs inside the
+;; generator's reset, parks at (yield v) as a one-shot delimited capture,
+;; and resumes with zero stack words copied when the writer loop asks for
+;; the next part — even when the io-write in between parked the whole
+;; connection thread (the suspended slice lives in the heap, not on the
+;; thread's chain, so it travels across scheduler switches for free).
+(define (handle-stream conn payload)
+  (let ((d (string->datum payload)))
+    (if (not (pair? d))
+        (io-write conn "ERR\n")
+        (let ((g (make-generator
+                  (lambda (v)
+                    (for-each (lambda (e) (yield (safe-eval e))) d)
+                    'done))))
+          (let loop ()
+            (let ((p (generator-next g)))
+              (if (eof-object? p)
+                  (io-write conn "DONE\n")
+                  (begin
+                    (io-write conn
+                              (string-append
+                               "PART "
+                               (if (eq? p 'err) "ERR" (number->string p))
+                               "\n"))
+                    (loop)))))))))
+
+;; MATCH/STREAM <pattern>: incremental regex over chunks the client
+;; sends as lines after the verb.  Lock-step: every chunk line gets a
+;; reply — AGAIN while the matcher is undecided, FOUND s e / NOMATCH the
+;; moment it settles (an END line forces the decision at end-of-input).
+;; The matcher is driven from a generator exactly like STREAM's parts:
+;; the body reads a chunk inside the generator's reset, feeds the
+;; RegexStream, and parks at (yield reply) as a one-shot delimited
+;; capture; the drive loop below resumes it with zero stack words copied
+;; after each io-write.  The io-read-line inside the body parks the
+;; whole connection thread with the suspended slice riding in the heap,
+;; so a slow client is reaped by the ordinary *conn-deadline-ms* clock:
+;; the parked read wakes with EOF, the generator returns, and the verb
+;; unwinds exactly like an EOF'd conn-loop.
+(define (handle-match-stream conn pat)
+  (let ((re (regex-try-compile pat)))
+    (if (not re)
+        (io-write conn "ERR\n")
+        (let ((g (make-generator
+                  (lambda (v)
+                    (let ((st (regex-stream re)))
+                      (let loop ()
+                        (let ((chunk (io-read-line conn)))
+                          (cond
+                            ((eof-object? chunk) 'eof)
+                            ((string=? chunk "END")
+                             (yield (match-reply (regex-stream-end! st)))
+                             'done)
+                            (else
+                             (let ((r (regex-stream-feed! st chunk)))
+                               (if r
+                                   (begin (yield (match-reply r)) 'done)
+                                   (begin (yield "AGAIN") (loop)))))))))))))
+          (let drive ()
+            (let ((reply (generator-next g)))
+              (if (eof-object? reply)
+                  'done
+                  (begin
+                    (io-write conn (string-append reply "\n"))
+                    (drive)))))))))
+
+;; One green thread per request: it writes the reply (parking if the
+;; socket is full) and bumps the RequestsServed counter.  The counter is
+;; bumped *before* the reply goes out: once a client has seen the reply the
+;; request is guaranteed counted, even if a QUIT racing in on the same
+;; connection tears the handler down right after (nursery teardown below).
+(define (handle-request conn line)
+  (serve-request-done!)
+  (if (starts-with? line "STREAM ")
+      (handle-stream conn (substring line 7 (string-length line)))
+      (io-write conn (string-append (answer line) "\n"))))
+
+;; Closing after QUIT drains the lines a client pipelined behind it: a
+;; closed port's record is freed only once its buffered input has been
+;; read, and reading a closed port never parks.
+(define (close-conn conn)
+  (io-close conn)
+  (let drain ()
+    (if (not (eof-object? (io-read-line conn)))
+        (drain))))
+
+;; One green thread per connection, one per request under the connection's
+;; nursery.  The reader takes a token and spawns the handler detached —
+;; nothing ever joins it, so its record is freed the moment it finishes
+;; (requests pipeline; a serial request/reply client sees no
+;; difference), and the connection owns a task tree: when the reader exits
+;; — QUIT, client EOF, or the reactor reaping a slow/idle connection and
+;; waking the parked read with EOF — the nursery scope closes and every
+;; still-parked handler is cancelled by one-shot poisoning, in spawn
+;; order, byte-identically run to run.  QUIT answers BYE and closes this
+;; connection only: the worker stops when the host closes its handoff
+;; queue.
+(define (conn-loop conn bump)
+  (let ((line (io-read-line conn)))
+    (cond
+      ((eof-object? line) (io-close conn))
+      ((string=? line "QUIT")
+       (io-write conn "BYE\n")
+       (close-conn conn))
+      ;; MATCH/STREAM runs inline, not spawned: the handler reads chunk
+      ;; lines off this very connection, so a spawned copy would race the
+      ;; pipelined reader for bytes.  The conn resumes normal dispatch
+      ;; when the verb settles (or the connection is reaped mid-stream,
+      ;; in which case the recursive io-read-line sees EOF and unwinds).
+      ((starts-with? line "MATCH/STREAM ")
+       (serve-request-done!)
+       (handle-match-stream conn (substring line 13 (string-length line)))
+       (conn-loop conn bump))
+      (else
+       (channel-send! %tokens 1)
+       (bump 1)
+       (spawn-detached (lambda ()
+                         (handle-request conn line)
+                         (channel-recv %tokens)
+                         (bump -1)))
+       (conn-loop conn bump)))))
+
+;; Overload protection.  %live-conns counts connections currently owned by
+;; a conn thread; admit-conn refuses new arrivals past *max-conns* with a
+;; fast BUSY line (shed, not queued — the client learns immediately) and
+;; arms the per-connection park deadline on the admitted ones, so a client
+;; that stalls a read or write past *conn-deadline-ms* is reaped by the
+;; reactor (the thread sees EOF / #f and unwinds normally, cancelling its
+;; whole request tree on the way).
+(define %live-conns 0)
+
+(define (conn-thread conn)
+  (set! %live-conns (+ %live-conns 1))
+  (let ((pending 0))
+    (nursery
+     (conn-loop conn (lambda (d) (set! pending (+ pending d)))))
+    ;; Reclaim tokens orphaned by cancelled handlers: pending counts this
+    ;; connection's un-returned tokens, and sends/recvs balance globally,
+    ;; so the buffer holds at least that many — try-recv never parks.
+    (let drain ((k pending))
+      (if (> k 0)
+          (begin (channel-try-recv %tokens) (drain (- k 1))))))
+  (set! %live-conns (- %live-conns 1)))
+
+(define (admit-conn conn)
+  (if (and (> *max-conns* 0) (>= %live-conns *max-conns*))
+      (begin
+        (serve-shed! conn)
+        (io-write conn "BUSY\n")
+        (io-close conn))
+      (begin
+        (if (> *conn-deadline-ms* 0)
+            (io-set-deadline! conn *conn-deadline-ms*))
+        (spawn-detached (lambda () (conn-thread conn))))))
+
+;; The hot path is the acceptor — the kernel load-balanced each
+;; connection to this shard's own SO_REUSEPORT listener, so the accept
+;; happens in-shard with no cross-thread traffic at all.  The taker is the
+;; host's control path: it parks on the wakeup pipe until Pool::handoff
+;; pushes a targeted connection (admitted exactly like an accepted one) or
+;; Pool::stop closes the queue — the shutdown signal, answered by closing
+;; the shard's listener so the parked acceptor wakes with EOF and the
+;; program winds down once connections drain.
 (define (acceptor)
   (let ((conn (io-accept *listener*)))
     (if (eof-object? conn)
@@ -85,7 +312,6 @@ const char *Pool::workerSource(ListenMode M) {
 (spawn taker)
 (scheduler-run *preempt*)
 )scheme";
-  return M == ListenMode::ReusePort ? Reuse.c_str() : Central.c_str();
 }
 
 // Out of line so Worker's members (unique_ptr over the forward-declared
@@ -99,31 +325,24 @@ Pool::Worker::~Worker() {
     ::close(WakeWr);
 }
 
-std::unique_ptr<Interp> Pool::makeInterp(Worker &W, int LFd,
+std::unique_ptr<Interp> Pool::makeInterp(Worker &W, uint16_t &TcpPort,
                                          std::string &Err) const {
   auto I = std::make_unique<Interp>(Opt.VmCfg);
   // Queue first: the wakeup port must be port 0 in every worker and
-  // every restart, so per-shard traces line up across modes and runs.
-  if (!I->vm().attachConnQueue(W.Q.get(), W.WakeRd, W.WakeWr, Err)) {
-    if (LFd >= 0)
-      ::close(LFd);
+  // every restart, so per-shard traces line up across runs.
+  if (!I->vm().attachConnQueue(W.Q.get(), W.WakeRd, W.WakeWr, Err))
+    return nullptr;
+  // SO_REUSEPORT admits every shard's listener on the one port, and a
+  // restarted shard's fresh one alongside the others' live listeners.
+  int LFd = openListener(TcpPort, Opt.Backlog, Err, /*ReusePort=*/true);
+  if (LFd < 0) {
+    Err = "io-listen: " + Err;
     return nullptr;
   }
-  if (EffMode == ListenMode::ReusePort) {
-    if (LFd < 0) {
-      // Restart path: the crashed Interp's listener dies with its port
-      // table, so re-bind a fresh one to the shared port (SO_REUSEPORT
-      // admits it alongside the other shards' live listeners).
-      uint16_t P = BoundPort;
-      LFd = openListener(P, Opt.Backlog, Err, /*ReusePort=*/true);
-      if (LFd < 0)
-        return nullptr;
-    }
-    VM &M = I->vm();
-    Handle Lid = M.reactor().addPort(LFd, Port::Kind::Listener);
-    M.reactor().port(static_cast<int64_t>(Lid))->setTcpPort(BoundPort);
-    I->defineGlobal("*listener*", Value::fixnum(static_cast<int64_t>(Lid)));
-  }
+  VM &M = I->vm();
+  Handle Lid = M.reactor().addPort(LFd, Port::Kind::Listener);
+  M.reactor().port(static_cast<int64_t>(Lid))->setTcpPort(TcpPort);
+  I->defineGlobal("*listener*", Value::fixnum(static_cast<int64_t>(Lid)));
   I->defineGlobal("*max-inflight*", Value::fixnum(Opt.MaxInflight));
   I->defineGlobal("*preempt*", Value::fixnum(Opt.PreemptInterval));
   I->defineGlobal("*max-conns*", Value::fixnum(Opt.MaxConns));
@@ -147,92 +366,37 @@ bool Pool::start() {
     return false;
   }
 
+  // Worker 0's listener resolves the (possibly ephemeral) port; the rest
+  // bind the resolved port, and the kernel load-balances arrivals across
+  // them.
   uint16_t P = Opt.Port;
   std::string E;
-  EffMode = Opt.Mode;
-  std::vector<int> ShardFds; // One listener per worker (ReusePort only).
-  auto CloseShardFds = [&ShardFds] {
-    for (int Fd : ShardFds)
-      if (Fd >= 0)
-        ::close(Fd);
-    ShardFds.clear();
-  };
-
-  if (EffMode == ListenMode::ReusePort) {
-    // Worker 0's listener resolves the (possibly ephemeral) port; the
-    // rest bind the resolved port, each with SO_REUSEPORT so the kernel
-    // load-balances arrivals across them.  If SO_REUSEPORT itself is
-    // unavailable, fall back to the central path; any later bind failure
-    // is a real error.
-    int F0 = openListener(P, Opt.Backlog, E, /*ReusePort=*/true);
-    if (F0 < 0) {
-      EffMode = ListenMode::CentralAcceptor;
-      P = Opt.Port;
-    } else {
-      ShardFds.push_back(F0);
-      for (int N = 1; N != Opt.Workers; ++N) {
-        int F = openListener(P, Opt.Backlog, E, /*ReusePort=*/true);
-        if (F < 0) {
-          CloseShardFds();
-          Err = {ErrorKind::Io, "io-listen: " + E};
-          return false;
-        }
-        ShardFds.push_back(F);
-      }
-    }
-  }
-  if (EffMode == ListenMode::CentralAcceptor) {
-    ListenFd = openListener(P, Opt.Backlog, E);
-    if (ListenFd < 0) {
-      Err = {ErrorKind::Io, "io-listen: " + E};
-      return false;
-    }
-  }
-  BoundPort = P;
-
-  auto Fail = [&](int N, const std::string &Msg) {
-    Err = {ErrorKind::Io, "worker " + std::to_string(N) + ": " + Msg};
-    Ws.clear(); // Worker dtors close the wakeup pipes.
-    CloseShardFds();
-    if (ListenFd >= 0) {
-      ::close(ListenFd);
-      ListenFd = -1;
-    }
-    return false;
-  };
-
   for (int N = 0; N != Opt.Workers; ++N) {
     auto W = std::make_unique<Worker>();
     W->Q = std::make_unique<ConnQueue>();
-    if (!openPipePair(W->WakeRd, W->WakeWr, E))
-      return Fail(N, E);
-    int LFd = -1;
-    if (EffMode == ListenMode::ReusePort) {
-      LFd = ShardFds[static_cast<size_t>(N)];
-      ShardFds[static_cast<size_t>(N)] = -1; // makeInterp takes ownership.
+    if (openPipePair(W->WakeRd, W->WakeWr, E))
+      W->I = makeInterp(*W, P, E);
+    if (!W->I) {
+      Err = {ErrorKind::Io, E};
+      Ws.clear(); // Worker dtors close the wakeup pipes and listeners.
+      return false;
     }
-    W->I = makeInterp(*W, LFd, E);
-    if (!W->I)
-      return Fail(N, E);
     W->Base = W->I->snapshot();
-    W->Live.store(&W->I->vm().stats(), std::memory_order_release);
     Ws.push_back(std::move(W));
   }
+  BoundPort = P;
 
-  // Interps exist, queues are attached and Live pointers are published
-  // before any thread starts, so neither a worker thread nor the
-  // acceptor ever sees a half-built pool.
+  // Interps exist and queues are attached before any thread starts, so a
+  // worker thread never sees a half-built pool.
   for (auto &W : Ws) {
     Worker *Wp = W.get();
     Wp->Thr = std::thread([this, Wp] { workerMain(*Wp); });
   }
-  if (EffMode == ListenMode::CentralAcceptor)
-    Acceptor = std::thread([this] { acceptLoop(); });
   return true;
 }
 
 void Pool::workerMain(Worker &W) {
-  const char *Program = Opt.Program ? Opt.Program : workerSource(EffMode);
+  const char *Program = Opt.Program ? Opt.Program : workerSource();
   for (;;) {
     W.R = W.I->eval(Program);
     if (W.R.Ok || Stopping.load(std::memory_order_relaxed) ||
@@ -241,11 +405,13 @@ void Pool::workerMain(Worker &W) {
     // The shard's program crashed.  Its Interp is unusable (the error may
     // have left the scheduler half-switched), but the handoff queue, the
     // wakeup pipe — and every fd queued — are host-owned and survive:
-    // stand up a fresh Interp on the same queue (re-binding the shard's
-    // listener in ReusePort mode) and re-run the program, which drains
-    // the queued connections as if they had just been handed off.
+    // stand up a fresh Interp on the same queue, re-binding the shard's
+    // listener (the crashed Interp's dies with its port table), and re-run
+    // the program, which drains the queued connections as if they had
+    // just been handed off.
     std::string E;
-    auto Fresh = makeInterp(W, -1, E);
+    uint16_t P = BoundPort;
+    auto Fresh = makeInterp(W, P, E);
     if (!Fresh)
       return; // Keep the crash result; the shard is lost.
     // Keep the shard's counters continuous: bank the dead Interp's totals
@@ -257,16 +423,11 @@ void Pool::workerMain(Worker &W) {
         std::max(Dead.ConnectionsClosed, Dead.AcceptedConnections);
     Stats::Snapshot FreshBase = Fresh->snapshot();
     Fresh->vm().stats().WorkerRestarts += 1;
-    // In-flight connections die with the crashed Interp: close its whole
-    // port table now (clients see EOF) but keep the object alive in the
-    // graveyard — the acceptor may still be reading the Stats block
-    // behind the Live pointer it loaded a moment ago.
-    W.I->vm().reactor().forEachPort([](Port &P) { P.closeNow(); });
     {
       std::lock_guard<std::mutex> L(Mu);
       W.Carry += Dead - FreshBase;
-      W.Live.store(&Fresh->vm().stats(), std::memory_order_release);
-      W.Graveyard.push_back(std::move(W.I));
+      // In-flight connections die with the crashed Interp: destroying it
+      // closes its whole port table, so their clients see EOF.
       W.I = std::move(Fresh);
       W.Restarts += 1;
     }
@@ -288,75 +449,6 @@ void Pool::notifyWorker(Worker &W) {
   }
 }
 
-void Pool::acceptLoop() {
-  // Poll with a short timeout instead of blocking in accept(2): closing a
-  // listener out from under a blocked accept is not a portable wakeup, a
-  // poll deadline is.
-  std::vector<char> Touched(static_cast<size_t>(workers()), 0);
-  bool Draining = false;
-  for (;;) {
-    // Shutdown runs one final non-blocking drain before the thread exits:
-    // connections the kernel already completed into the backlog belong to
-    // clients whose connect() succeeded, so they are placed, not reset.
-    // stop() closes the handoff queues only after joining this thread, so
-    // every drained fd still has an open queue to land in.
-    if (!Draining)
-      Draining = Stopping.load(std::memory_order_relaxed);
-    if (!Draining && !pollOneFd(ListenFd, /*ForWrite=*/false, /*TimeoutMs=*/50))
-      continue;
-    // Batch: accept and place every connection the kernel has pending,
-    // then poke each touched worker once — a burst of B arrivals costs
-    // one poll wakeup and at most min(B, workers) pipe writes.  The
-    // queue pushes update size() as we go, so leastLoaded keeps
-    // spreading the batch instead of dumping it on one shard.
-    std::fill(Touched.begin(), Touched.end(), 0);
-    bool Any = false;
-    bool Dead = false;
-    for (;;) {
-      std::string E;
-      int Fd = acceptConnection(ListenFd, E);
-      if (Fd < 0) {
-        Dead = Fd == -2; // Listener gone or unrecoverable.
-        break;
-      }
-      int N = leastLoaded();
-      if (!Ws[static_cast<size_t>(N)]->Q->push(Fd)) {
-        ::close(Fd);
-        continue;
-      }
-      Touched[static_cast<size_t>(N)] = 1;
-      Any = true;
-    }
-    if (Any)
-      for (int N = 0; N != workers(); ++N)
-        if (Touched[static_cast<size_t>(N)])
-          notifyWorker(*Ws[static_cast<size_t>(N)]);
-    if (Draining || Dead)
-      return;
-  }
-}
-
-int Pool::leastLoaded() const {
-  int Best = 0;
-  uint64_t BestLoad = ~uint64_t{0};
-  for (int N = 0; N != workers(); ++N) {
-    const Worker &W = *Ws[static_cast<size_t>(N)];
-    // Queue depth + live connections.  The counters are the shard's own
-    // relaxed atomics behind the published Live pointer (kept valid
-    // across restarts by the graveyard); a transiently stale read just
-    // means a slightly imperfect placement, never a lost connection.
-    const Stats &S = *W.Live.load(std::memory_order_acquire);
-    uint64_t Accepted = S.AcceptedConnections;
-    uint64_t Closed = S.ConnectionsClosed;
-    uint64_t Load = W.Q->size() + (Accepted > Closed ? Accepted - Closed : 0);
-    if (Load < BestLoad) {
-      BestLoad = Load;
-      Best = N;
-    }
-  }
-  return Best;
-}
-
 Error Pool::handoff(int Worker, int Fd) {
   if (Worker < 0 || Worker >= workers())
     return {ErrorKind::Runtime,
@@ -376,17 +468,10 @@ void Pool::stop() {
   if (Ws.empty())
     return;
   Stopping.store(true, std::memory_order_relaxed);
-  if (Acceptor.joinable())
-    Acceptor.join();
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  // Close every handoff queue: each worker's take-conn loop drains what
-  // is left, then sees EOF and winds down — directly (CentralAcceptor)
-  // or by closing its shard's listener first (ReusePort); either way the
-  // scheduler run ends once in-flight connections finish.  The poke goes
-  // down the host-owned pipe, so a shard mid-restart still gets it.
+  // Close every handoff queue: each worker's taker drains what is left,
+  // then sees EOF and closes its shard's listener, and the scheduler run
+  // ends once in-flight connections finish.  The poke goes down the
+  // host-owned pipe, so a shard mid-restart still gets it.
   for (auto &W : Ws) {
     W->Q->close();
     notifyWorker(*W);

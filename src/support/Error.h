@@ -3,7 +3,7 @@
 /// \file
 /// Structured errors for the embedding API.
 ///
-/// Every failure surface — Interp::eval, Server, Pool — reports through the
+/// Every failure surface — Interp::eval and Pool — reports through the
 /// same two-field shape: a coarse machine-readable ErrorKind for dispatch
 /// ("retry? rephrase? restart the worker?") and the human-readable message.
 /// The kind is deliberately coarse: it classifies *which layer* rejected the

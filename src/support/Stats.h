@@ -176,7 +176,7 @@ struct Stats {
 
   /// A tear-free point-in-time copy: plain integers, trivially copyable,
   /// safe to read, diff and sum from any thread.  This is the only shape
-  /// the embedding API hands out (Interp/Server/Pool all return Snapshot);
+  /// the embedding API hands out (Interp and Pool both return Snapshot);
   /// live Counter references stay internal.
   struct Snapshot {
 #define OSC_STATS_FIELD(Name) uint64_t Name = 0;

@@ -61,8 +61,6 @@ VM::VM(Heap &H, Stats &S, const Config &Cfg)
   ThreadGuard = Value::object(Guard);
 
   Rx = std::make_unique<Reactor>(S);
-  Rx->setTickMs(this->Cfg.PollTickMs);
-  Rx->setDefaultOutputCap(this->Cfg.MaxOutputBufferBytes);
   // The EOF sentinel is an interned symbol the reader cannot produce
   // ("#<" is a read error), so (eq? x *eof*) is a safe end-of-stream test.
   EofObj = Value::object(H.intern("#<eof>"));
@@ -1751,8 +1749,7 @@ bool VM::ioComplete(const PendingIo &P) {
 // --- The deadline wheel (timed parks, with-deadline, slow-client reaping) ----
 
 uint64_t VM::msToTicks(int64_t Ms) const {
-  int64_t Per = Cfg.PollTickMs > 0 ? Cfg.PollTickMs : 1;
-  int64_t T = Ms / Per;
+  int64_t T = Ms / Reactor::TickMs;
   return T < 1 ? 1 : static_cast<uint64_t>(T);
 }
 

@@ -16,7 +16,6 @@ TEST(Headers, UmbrellaExposesTheEmbeddingSurface) {
   // Everything docs/EMBEDDING.md names must be reachable from osc.h
   // alone.  Compile-time: these types exist and have the promised shape.
   static_assert(std::is_constructible_v<Interp, const Config &>);
-  static_assert(std::is_constructible_v<Server, ServeOptions>);
   static_assert(std::is_constructible_v<Pool, ServeOptions>);
   static_assert(std::is_default_constructible_v<Client>);
   static_assert(std::is_default_constructible_v<Stats::Snapshot>);
@@ -26,14 +25,10 @@ TEST(Headers, UmbrellaExposesTheEmbeddingSurface) {
 }
 
 TEST(Headers, ServeOptionsIsTheOneOptionsSurface) {
-  // Both serving fronts take the same struct, and the pool-only knobs
-  // have the documented defaults (ReusePort is the default accept path).
+  // The pool's knobs have the documented defaults.
   ServeOptions O;
   EXPECT_EQ(O.Workers, 1);
-  EXPECT_EQ(O.Mode, ListenMode::ReusePort);
   EXPECT_EQ(O.MaxWorkerRestarts, 3);
-  EXPECT_STREQ(listenModeName(ListenMode::ReusePort), "reuseport");
-  EXPECT_STREQ(listenModeName(ListenMode::CentralAcceptor), "central");
 }
 
 TEST(Headers, ErrorKindNamesAreStable) {

@@ -1,11 +1,10 @@
 // The sharded serving pool (src/serve/Pool): fd handoff to specific
 // workers over socketpairs, bursts of 64 and 256 concurrent clients over
-// real loopback TCP on 1, 2 and 4 shards and both accept paths, with
-// exact accept counts, worker-crash propagation through ErrorKind,
-// deterministic per-worker trace dumps, aggregation of per-shard
-// Stats::Snapshots, clean stop with requests in flight, and the paper's
-// invariant held per shard — zero stack words copied per steady-state
-// park on every worker.
+// real loopback TCP on 1, 2 and 4 shards, with exact accept counts,
+// worker-crash propagation through ErrorKind, deterministic per-worker
+// trace dumps, aggregation of per-shard Stats::Snapshots, clean stop
+// with requests in flight, and the paper's invariant held per shard —
+// zero stack words copied per steady-state park on every worker.
 //
 // Registered under the ctest label "serve".
 
@@ -29,12 +28,10 @@ using namespace osc;
 
 namespace {
 
-ServeOptions options(int Workers,
-                     ListenMode Mode = ListenMode::ReusePort) {
+ServeOptions options(int Workers) {
   ServeOptions O;
   O.Workers = Workers;
   O.MaxInflight = 64;
-  O.Mode = Mode;
   return O;
 }
 
@@ -78,48 +75,43 @@ void askWorkerDirect(Pool &P, int Worker, const std::string &Line,
   C.close();
 }
 
-/// One burst shape: the accept path, the shard count and the number of
-/// clients with a request in flight at once.
+/// One burst shape: the shard count and the number of clients with a
+/// request in flight at once.
 struct Burst {
-  ListenMode Mode;
   int Workers;
   int Clients;
 };
 
+/// The suffix names the accept path every burst crosses: each shard's own
+/// SO_REUSEPORT listener.
 std::string burstName(const Burst &B) {
   return "w" + std::to_string(B.Workers) + "_c" + std::to_string(B.Clients) +
-         "_" + listenModeName(B.Mode);
+         "_reuseport";
 }
 
 void PrintTo(const Burst &B, std::ostream *OS) { *OS << burstName(B); }
 
 /// \p Clients clients against the shards, every request in flight at
-/// once, for two rounds, over either accept path.  ReusePort: the kernel
-/// spreads connections across the shards' own listeners;
-/// CentralAcceptor: the acceptor thread spreads them by load.  Either way
-/// the path must not fall back, every connection is accepted exactly
-/// once, and each shard serves its own with zero words copied per park.
+/// once, for two rounds.  The kernel spreads connections across the
+/// shards' own listeners; every connection is accepted exactly once, and
+/// each shard serves its own with zero words copied per park.
 class PingBurst : public ::testing::TestWithParam<Burst> {};
 
 TEST_P(PingBurst, AcrossPoolTcp) {
   const Burst B = GetParam();
   constexpr int Rounds = 2;
-  ServeOptions O = options(B.Workers, B.Mode);
+  ServeOptions O = options(B.Workers);
   O.MaxInflight = B.Clients;
   Pool P(O);
   mustStart(P);
-  ASSERT_EQ(P.listenMode(), B.Mode)
-      << "fell back to " << listenModeName(P.listenMode());
-  // Wait for every shard's startup parks (ReusePort: acceptor on the
-  // listener + taker on take-conn; central: the worker loop's take-conn)
-  // before the burst, so each shard's first delivery is a park-wake and
-  // the AcceptBatches bounds below are deterministic — without the gate a
-  // fast burst can beat the acceptor to io-accept and complete every
-  // accept inline (batches legitimately 0).
-  uint64_t StartParks = B.Mode == ListenMode::ReusePort ? 2 : 1;
+  // Wait for every shard's startup parks (acceptor on the listener, taker
+  // on take-conn) before the burst, so each shard's first delivery is a
+  // park-wake and the AcceptBatches bounds below are deterministic —
+  // without the gate a fast burst can beat the acceptor to io-accept and
+  // complete every accept inline (batches legitimately 0).
   for (int W = 0; W < P.workers(); ++W)
     ASSERT_TRUE(spinUntil([&] {
-      return (P.snapshot(W) - P.baseline(W)).IoParks >= StartParks;
+      return (P.snapshot(W) - P.baseline(W)).IoParks >= 2;
     })) << "worker " << W;
   std::vector<Client> Cs(B.Clients);
   std::string E;
@@ -166,20 +158,14 @@ TEST_P(PingBurst, AcrossPoolTcp) {
     EXPECT_EQ(S.WordsCopied, 0u) << "worker " << W << " copied stack words";
   }
   // Per-shard accept counts sum to the burst exactly — every connection
-  // was accepted on (or handed to) exactly one shard.
+  // was accepted on exactly one shard.
   EXPECT_EQ(PerShard, N);
 }
 
-// The default path at 1, 2 and 4 shards, a 256-client admission burst at
-// 4, and the central acceptor at both ends of the shard range.
+// 1, 2 and 4 shards, and a 256-client admission burst at 4.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PingBurst,
-    ::testing::Values(Burst{ListenMode::ReusePort, 1, 64},
-                      Burst{ListenMode::ReusePort, 2, 64},
-                      Burst{ListenMode::ReusePort, 4, 64},
-                      Burst{ListenMode::ReusePort, 4, 256},
-                      Burst{ListenMode::CentralAcceptor, 1, 64},
-                      Burst{ListenMode::CentralAcceptor, 4, 64}),
+    ::testing::Values(Burst{1, 64}, Burst{2, 64}, Burst{4, 64}, Burst{4, 256}),
     [](const ::testing::TestParamInfo<Burst> &Info) {
       return burstName(Info.param);
     });
@@ -266,16 +252,14 @@ TEST(Pool, HandoffAfterStopIsServerStopped) {
   ::close(Sp[1]);
 }
 
-namespace {
-
-/// stop() is initiated while requests are still in flight; the pool must
-/// drain them (every client gets its reply) and shut down clean.  In
-/// ReusePort mode this exercises the shutdown drain: connections the
-/// kernel completed but no shard accepted yet are admitted (io-try-accept)
-/// before the listeners close.
-void cleanStopInflight(ListenMode Mode) {
+TEST(Pool, CleanStopWithInflightRequests) {
+  // stop() is initiated while requests are still in flight; the pool must
+  // drain them (every client gets its reply) and shut down clean.  This
+  // exercises the shutdown drain: connections the kernel completed but no
+  // shard accepted yet are admitted (io-try-accept) before the listeners
+  // close.
   constexpr int N = 16;
-  Pool P(options(4, Mode));
+  Pool P(options(4));
   mustStart(P);
   std::vector<Client> Cs(N);
   std::string E;
@@ -298,25 +282,13 @@ void cleanStopInflight(ListenMode Mode) {
             static_cast<uint64_t>(N));
 }
 
-} // namespace
-
-TEST(Pool, CleanStopWithInflightRequests) {
-  cleanStopInflight(ListenMode::ReusePort);
-}
-
-TEST(Pool, CleanStopWithInflightRequestsCentralAcceptor) {
-  cleanStopInflight(ListenMode::CentralAcceptor);
-}
-
 TEST(Pool, ReusePortWorkerRestartRebindsItsListener) {
-  // A 1-worker ReusePort pool whose program serves exactly one connection
-  // per run, then crashes: every restart must re-bind the shard's
-  // listener on the same port, so a fresh client reaches the fresh
-  // Interp.  The taker mirrors the real worker's shutdown path so stop()
-  // stays prompt.
+  // A 1-worker pool whose program serves exactly one connection per run,
+  // then crashes: every restart must re-bind the shard's listener on the
+  // same port, so a fresh client reaches the fresh Interp.  The taker
+  // mirrors the real worker's shutdown path so stop() stays prompt.
   ServeOptions O;
   O.Workers = 1;
-  O.Mode = ListenMode::ReusePort;
   O.Program = R"scheme(
 (define (acceptor)
   (let ((conn (io-accept *listener*)))
@@ -337,7 +309,6 @@ TEST(Pool, ReusePortWorkerRestartRebindsItsListener) {
 )scheme";
   Pool P(O);
   mustStart(P);
-  ASSERT_EQ(P.listenMode(), ListenMode::ReusePort);
   for (int Round = 0; Round < 2; ++Round) {
     // A connect can race the crash window (old listener closed, new one
     // just bound): retry until the live listener answers.
@@ -363,46 +334,42 @@ namespace {
 /// Runs a fixed two-worker workload where every worker-side transition is
 /// gated on observable counter changes, so the shard's event order — and
 /// therefore its trace — is a function of the program alone.  The
-/// connections go through handoff (which both modes serve) rather than
-/// TCP, because ReusePort's kernel balancing would make *placement*
+/// connections go through handoff rather than TCP, because the kernel's
+/// balancing across the shard listeners would make *placement*
 /// nondeterministic; what the test pins is each shard's own event order.
 /// Returns the two tagged dumps.
-void tracedRun(ListenMode Mode, std::vector<std::string> &Dumps) {
+void tracedRun(std::vector<std::string> &Dumps) {
   ServeOptions O;
   O.Workers = 2;
   O.MaxInflight = 4;
-  O.Mode = Mode;
   O.TraceWorkers = true;
   Pool P(O);
   ASSERT_TRUE(P.start()) << P.error();
 
-  // A ReusePort shard parks one extra thread at startup (its acceptor,
-  // on the shard listener) on top of the taker's take-conn park, so
-  // every park gate below shifts by one.
-  uint64_t G = Mode == ListenMode::ReusePort ? 1 : 0;
   for (int W = 0; W < 2; ++W) {
-    // Wait for the shard's take-conn park before handing over, so the
-    // take never short-circuits.
+    // Wait for the shard's two startup parks (its acceptor on the shard
+    // listener, its taker on take-conn) before handing over, so the take
+    // never short-circuits.
     ASSERT_TRUE(spinUntil([&] {
-      return (P.snapshot(W) - P.baseline(W)).IoParks >= 1 + G;
+      return (P.snapshot(W) - P.baseline(W)).IoParks >= 2;
     })) << "worker " << W;
     int Sp[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sp), 0);
     ASSERT_TRUE(P.handoff(W, Sp[0]).ok());
-    // Wait until the conn thread has parked reading and the worker loop
-    // has parked on its next take, so the PING below always finds a
-    // parked reader.
+    // Wait until the conn thread has parked reading and the taker has
+    // parked on its next take, so the PING below always finds a parked
+    // reader.
     ASSERT_TRUE(spinUntil([&] {
-      return (P.snapshot(W) - P.baseline(W)).IoParks >= 3 + G;
+      return (P.snapshot(W) - P.baseline(W)).IoParks >= 4;
     })) << "worker " << W;
     Client C;
     C.adopt(Sp[1]);
     EXPECT_EQ(ask(C, "PING"), "PONG");
     // After answering, the conn thread loops back into io-read-line.  Wait
-    // for that park (the shard's 4th) before closing, so EOF always finds
+    // for that park (the shard's 5th) before closing, so EOF always finds
     // a parked reader instead of racing an inline read.
     ASSERT_TRUE(spinUntil([&] {
-      return (P.snapshot(W) - P.baseline(W)).IoParks >= 4 + G;
+      return (P.snapshot(W) - P.baseline(W)).IoParks >= 5;
     })) << "worker " << W;
     C.close();
     ASSERT_TRUE(spinUntil([&] {
@@ -415,15 +382,17 @@ void tracedRun(ListenMode Mode, std::vector<std::string> &Dumps) {
     Dumps.push_back(P.traceDump(W));
 }
 
-/// The determinism contract, per mode: two identical runs produce
-/// byte-identical per-shard dumps, and the two shards (same workload)
-/// produce identical dumps modulo the shard tag.
-void checkDeterministicTraces(ListenMode Mode) {
+} // namespace
+
+TEST(Pool, DeterministicPerWorkerTraces) {
+  // The determinism contract: two identical runs produce byte-identical
+  // per-shard dumps, and the two shards (same workload) produce identical
+  // dumps modulo the shard tag.
   std::vector<std::string> A, B;
-  tracedRun(Mode, A);
+  tracedRun(A);
   if (testing::Test::HasFatalFailure())
     return;
-  tracedRun(Mode, B);
+  tracedRun(B);
   if (testing::Test::HasFatalFailure())
     return;
   ASSERT_EQ(A.size(), 2u);
@@ -445,16 +414,6 @@ void checkDeterministicTraces(ListenMode Mode) {
   while ((Pos = W1.find("w1 ", Pos)) != std::string::npos)
     W1.replace(Pos, 3, "w0 ");
   EXPECT_EQ(W0, W1);
-}
-
-} // namespace
-
-TEST(Pool, DeterministicPerWorkerTraces) {
-  checkDeterministicTraces(ListenMode::ReusePort);
-}
-
-TEST(Pool, DeterministicPerWorkerTracesCentralAcceptor) {
-  checkDeterministicTraces(ListenMode::CentralAcceptor);
 }
 
 // --- Accepted sockets and peer resets ----------------------------------------
@@ -492,20 +451,16 @@ int serverNoDelay(uint16_t TcpPort, const Client &C) {
 } // namespace
 
 TEST(Pool, AcceptedSocketsHaveNoDelay) {
-  // Both accept paths: a shard's own SO_REUSEPORT listener and the
-  // central acceptor thread.
-  for (ListenMode M : {ListenMode::ReusePort, ListenMode::CentralAcceptor}) {
-    Pool P(options(1, M));
-    mustStart(P);
-    Client C;
-    std::string E;
-    ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
-    EXPECT_EQ(ask(C, "PING"), "PONG"); // Accepted and adopted by now.
-    EXPECT_EQ(serverNoDelay(P.tcpPort(), C), 1) << listenModeName(M);
-    C.close();
-    P.stop();
-    ASSERT_TRUE(P.error().ok()) << P.error();
-  }
+  Pool P(options(1));
+  mustStart(P);
+  Client C;
+  std::string E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
+  EXPECT_EQ(ask(C, "PING"), "PONG"); // Accepted and adopted by now.
+  EXPECT_EQ(serverNoDelay(P.tcpPort(), C), 1);
+  C.close();
+  P.stop();
+  ASSERT_TRUE(P.error().ok()) << P.error();
 }
 
 TEST(Pool, HandedOffSocketKeepsTheHostsOptions) {

@@ -2,9 +2,9 @@
 // trappable VM errors, anchoring and character-class edge cases, the
 // streaming matcher across arbitrary chunk boundaries, one-shot reuse
 // detection on a suspended match resumption, and the MATCH /
-// MATCH/STREAM protocol verbs over real loopback TCP on both the
-// stand-alone Server and the sharded Pool — including slow-client
-// reaping with a byte-identical teardown trace.
+// MATCH/STREAM protocol verbs over real loopback TCP on 1- and 3-worker
+// Pools — including slow-client reaping with a byte-identical teardown
+// trace.
 //
 // Registered under the ctest label "regex" (the serve-layer tests here
 // also answer to -L regex so the subsystem runs in isolation).
@@ -26,15 +26,16 @@ protected:
   Interp I;
 };
 
-ServeOptions serverOptions() {
+ServeOptions serveOptions() {
   ServeOptions O;
+  O.Workers = 1;
   O.MaxInflight = 64;
   return O;
 }
 
-void mustStart(Server &S) {
-  ASSERT_TRUE(S.start()) << S.error();
-  ASSERT_NE(S.tcpPort(), 0);
+void mustStart(Pool &P) {
+  ASSERT_TRUE(P.start()) << P.error();
+  ASSERT_NE(P.tcpPort(), 0);
 }
 
 std::string ask(Client &C, const std::string &Line) {
@@ -73,8 +74,9 @@ TEST_F(RegexTest, ParseErrorsAreTrappableAndTheVmSurvives) {
       {"[abc", "unterminated character class"},
       {"a{2", "unterminated repetition"},
       {"a{999}", "repetition bound exceeds 255"},
-      {"ab\\\\", "trailing backslash"}, // reaches the engine as ab\
-      {"\\\\q", "bad escape"},          // reaches the engine as \q
+      // The engine sees "ab\" and "\q".
+      {"ab\\\\", "trailing backslash"},
+      {"\\\\q", "bad escape"},
   };
   for (const Case &C : Cases) {
     std::string R =
@@ -240,11 +242,11 @@ TEST_F(RegexTest, SuspendedMatchResumptionIsOneShot) {
 // --- the MATCH and MATCH/STREAM protocol verbs -------------------------------
 
 TEST(RegexServe, MatchVerbOnServer) {
-  Server S(serverOptions());
-  mustStart(S);
+  Pool P(serveOptions());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   EXPECT_EQ(ask(C, "MATCH b+ abbbc"), "FOUND 1 4");
   EXPECT_EQ(ask(C, "MATCH ^foo barfoo"), "NOMATCH");
   EXPECT_EQ(ask(C, "MATCH [0-9]{3} order 123 shipped"), "FOUND 6 9");
@@ -255,19 +257,19 @@ TEST(RegexServe, MatchVerbOnServer) {
   EXPECT_EQ(ask(C, "MATCH loner"), "ERR");
   EXPECT_EQ(ask(C, "PING"), "PONG");
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
-  Stats::Snapshot D = S.snapshot() - S.baseline();
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  Stats::Snapshot D = P.snapshot() - P.baseline();
   EXPECT_GE(D.RegexExecs, 4u);
   EXPECT_GT(D.RegexBytesScanned, 0u);
 }
 
 TEST(RegexServe, MatchStreamVerbOnServer) {
-  Server S(serverOptions());
-  mustStart(S);
+  Pool P(serveOptions());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   // Undecided chunks answer AGAIN; the match lands across a boundary.
   ASSERT_TRUE(C.sendLine("MATCH/STREAM needle"));
   EXPECT_EQ(ask(C, "hay nee"), "AGAIN");
@@ -287,25 +289,25 @@ TEST(RegexServe, MatchStreamVerbOnServer) {
   EXPECT_EQ(ask(C, "MATCH/STREAM a{9,1}"), "ERR");
   EXPECT_EQ(ask(C, "EVAL (+ 20 22)"), "42");
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
-  Stats::Snapshot D = S.snapshot() - S.baseline();
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  Stats::Snapshot D = P.snapshot() - P.baseline();
   EXPECT_GE(D.RegexStreamFeeds, 6u);
 }
 
 TEST(RegexServe, MatchStreamKeepsTheZeroCopyInvariant) {
   // The generator driving MATCH/STREAM parks once per chunk; in the
   // one-shot steady state not one stack word may move.
-  Server S(serverOptions());
-  mustStart(S);
+  Pool P(serveOptions());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   ASSERT_EQ(ask(C, "PING"), "PONG"); // warmup park
   ASSERT_TRUE(C.sendLine("MATCH/STREAM zz9"));
   ASSERT_EQ(ask(C, "warm"), "AGAIN");
   uint64_t Fed = 4;
-  uint64_t W0 = S.snapshot().WordsCopied;
+  uint64_t W0 = P.snapshot().WordsCopied;
   for (int K = 0; K < 64; ++K) {
     std::string Chunk = "chunk " + std::to_string(K);
     ASSERT_EQ(ask(C, Chunk), "AGAIN") << K;
@@ -314,14 +316,14 @@ TEST(RegexServe, MatchStreamKeepsTheZeroCopyInvariant) {
   EXPECT_EQ(ask(C, "zz"), "AGAIN");
   EXPECT_EQ(ask(C, "9 tail"), "FOUND " + std::to_string(Fed) + " " +
                                   std::to_string(Fed + 3));
-  EXPECT_EQ(S.snapshot().WordsCopied, W0);
+  EXPECT_EQ(P.snapshot().WordsCopied, W0);
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
 }
 
 TEST(RegexServe, MatchVerbsOnPool) {
-  // The verbs ride protocolSource, so every pool shard serves them too.
+  // Every shard runs the same worker program, so each serves the verbs.
   ServeOptions O;
   O.Workers = 3;
   Pool P(O);
@@ -356,22 +358,22 @@ TEST(RegexServe, ReapedMidStreamClientUnwindsTheVerb) {
   // A client opens MATCH/STREAM, sends one chunk, then stalls past the
   // connection deadline: the reactor reaps it, the generator's parked
   // read wakes with EOF, and the verb unwinds without copying a word.
-  ServeOptions O = serverOptions();
+  ServeOptions O = serveOptions();
   O.ConnDeadlineMs = 50;
-  Server S(O);
-  mustStart(S);
+  Pool P(O);
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   ASSERT_TRUE(C.sendLine("MATCH/STREAM needle"));
   ASSERT_EQ(ask(C, "hay nee"), "AGAIN");
   // Stall.  The server must reap us; the socket just goes quiet/EOF.
   std::string L;
   EXPECT_FALSE(C.recvLine(L, 2000));
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
-  Stats::Snapshot D = S.snapshot() - S.baseline();
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  Stats::Snapshot D = P.snapshot() - P.baseline();
   EXPECT_GE(D.ConnsReaped, 1u);
   EXPECT_GE(D.Timeouts, 1u);
   EXPECT_EQ(D.WordsCopied, 0u);

@@ -1,9 +1,10 @@
-// The continuation-per-request eval server (src/serve), exercised over
-// real loopback TCP: protocol correctness, 64+ concurrent in-flight
-// requests under channel backpressure, graceful shutdown, and the
-// paper's property carried all the way up the stack — zero stack words
-// copied per steady-state park/resume, against a multi-shot baseline
-// that pays a copy on every park.
+// The continuation-per-request serving protocol (src/serve) on a 1-worker
+// Pool, exercised over real loopback TCP: protocol correctness, 64+
+// concurrent in-flight requests under channel backpressure, QUIT ending
+// only its own connection, graceful shutdown, and the paper's property
+// carried all the way up the stack — zero stack words copied per
+// steady-state park/resume, against a multi-shot baseline that pays a
+// copy on every park.
 //
 // Registered under the ctest label "serve".
 
@@ -22,14 +23,15 @@ namespace {
 
 ServeOptions options() {
   ServeOptions O;
+  O.Workers = 1;
   O.MaxInflight = 64;
   return O;
 }
 
 // start() + hard assert, so a failed listener shows its error.
-void mustStart(Server &S) {
-  ASSERT_TRUE(S.start()) << S.error();
-  ASSERT_NE(S.tcpPort(), 0);
+void mustStart(Pool &P) {
+  ASSERT_TRUE(P.start()) << P.error();
+  ASSERT_NE(P.tcpPort(), 0);
 }
 
 std::string ask(Client &C, const std::string &Line) {
@@ -42,25 +44,25 @@ std::string ask(Client &C, const std::string &Line) {
 } // namespace
 
 TEST(Serve, PingPong) {
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   EXPECT_EQ(ask(C, "PING"), "PONG");
   EXPECT_EQ(ask(C, "PING"), "PONG");
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
-  EXPECT_EQ(S.snapshot().RequestsServed - S.baseline().RequestsServed, 2u);
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  EXPECT_EQ(P.snapshot().RequestsServed - P.baseline().RequestsServed, 2u);
 }
 
 TEST(Serve, EvalRequests) {
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   EXPECT_EQ(ask(C, "EVAL (+ 1 2)"), "3");
   EXPECT_EQ(ask(C, "EVAL (* 6 (- 10 3))"), "42");
   EXPECT_EQ(ask(C, "EVAL (quotient 17 5)"), "3");
@@ -73,16 +75,16 @@ TEST(Serve, EvalRequests) {
   EXPECT_EQ(ask(C, "EVAL (((("), "ERR");
   EXPECT_EQ(ask(C, "FROB"), "ERR");
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
 }
 
 TEST(Serve, StreamRepliesPartByPart) {
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   // One request, several reply lines, produced lazily by a generator on
   // the serving side (src/control): one PART per expression, then DONE.
   ASSERT_TRUE(C.sendLine("STREAM ((+ 1 2) (* 6 7) (quotient 9 2))"));
@@ -110,19 +112,19 @@ TEST(Serve, StreamRepliesPartByPart) {
   // A malformed payload is one ERR line, not a stream.
   EXPECT_EQ(ask(C, "STREAM oops"), "ERR");
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
 }
 
 TEST(Serve, StreamKeepsTheZeroCopyInvariant) {
   // The generator behind STREAM must not erode the serving layer's
   // steady-state guarantee: warm the connection up, then stream many
   // parts and require that not one stack word moved.
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   ASSERT_EQ(ask(C, "PING"), "PONG"); // Warmup: conn thread parked once.
   std::string Req = "STREAM (";
   for (int K = 0; K < 32; ++K)
@@ -130,8 +132,8 @@ TEST(Serve, StreamKeepsTheZeroCopyInvariant) {
   Req += ")";
   uint64_t W0 = 0;
   {
-    // The serving thread owns the live Stats; sample through snapshot().
-    W0 = S.snapshot().WordsCopied;
+    // The worker thread owns the live Stats; sample through snapshot().
+    W0 = P.snapshot().WordsCopied;
   }
   ASSERT_TRUE(C.sendLine(Req));
   std::string L;
@@ -141,10 +143,10 @@ TEST(Serve, StreamKeepsTheZeroCopyInvariant) {
   }
   ASSERT_TRUE(C.recvLine(L));
   EXPECT_EQ(L, "DONE");
-  EXPECT_EQ(S.snapshot().WordsCopied, W0);
+  EXPECT_EQ(P.snapshot().WordsCopied, W0);
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
 }
 
 TEST(Serve, ManyConcurrentClients) {
@@ -154,12 +156,12 @@ TEST(Serve, ManyConcurrentClients) {
   // its next line before that handler runs, and no second line comes, so
   // all 64 readers are parked when the last reply is written.
   constexpr int N = 64;
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   std::vector<Client> Cs(N);
   std::string E;
   for (int K = 0; K < N; ++K)
-    ASSERT_TRUE(Cs[K].connect(S.tcpPort(), E)) << "client " << K << ": " << E;
+    ASSERT_TRUE(Cs[K].connect(P.tcpPort(), E)) << "client " << K << ": " << E;
   for (int K = 0; K < N; ++K)
     ASSERT_TRUE(Cs[K].sendLine(K % 2 ? "PING"
                                      : "EVAL (+ " + std::to_string(K) + " 1)"));
@@ -170,13 +172,13 @@ TEST(Serve, ManyConcurrentClients) {
   }
   for (Client &C : Cs)
     C.close();
-  S.stop();
-  ASSERT_TRUE(S.result().Ok) << S.result().Error;
-  Stats::Snapshot St = S.snapshot();
-  const Stats::Snapshot &B = S.baseline();
+  P.stop();
+  ASSERT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  Stats::Snapshot St = P.snapshot();
+  const Stats::Snapshot &B = P.baseline();
   EXPECT_EQ(St.RequestsServed - B.RequestsServed, static_cast<uint64_t>(N));
   EXPECT_EQ(St.AcceptedConnections - B.AcceptedConnections,
-            static_cast<uint64_t>(N) + 1); // +1: stop()'s QUIT connection.
+            static_cast<uint64_t>(N));
   EXPECT_GT(St.IoParks, B.IoParks);
   EXPECT_EQ(St.IoParks - B.IoParks, St.IoWakes - B.IoWakes);
   EXPECT_GE(St.IoWaitPeak, static_cast<uint64_t>(N))
@@ -188,18 +190,18 @@ TEST(Serve, ZeroCopySteadyStateParks) {
   // The acceptance criterion: with one-shot switching on (the default),
   // serving traffic copies zero stack words — every park/resume is a
   // segment-pointer swap.
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   for (int K = 0; K < 32; ++K)
     ASSERT_EQ(ask(C, "PING"), "PONG");
   C.close();
-  S.stop();
-  ASSERT_TRUE(S.result().Ok) << S.result().Error;
-  EXPECT_GT(S.snapshot().IoParks, S.baseline().IoParks);
-  EXPECT_EQ(S.snapshot().WordsCopied - S.baseline().WordsCopied, 0u);
+  P.stop();
+  ASSERT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  EXPECT_GT(P.snapshot().IoParks, P.baseline().IoParks);
+  EXPECT_EQ(P.snapshot().WordsCopied - P.baseline().WordsCopied, 0u);
 }
 
 TEST(Serve, MultiShotBaselineCopiesOnEveryPark) {
@@ -207,45 +209,69 @@ TEST(Serve, MultiShotBaselineCopiesOnEveryPark) {
   // multi-shot capture, so reinstatement pays stack copies.
   ServeOptions O = options();
   O.VmCfg.SchedOneShotSwitch = false;
-  Server S(O);
-  mustStart(S);
+  Pool P(O);
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   for (int K = 0; K < 32; ++K)
     ASSERT_EQ(ask(C, "PING"), "PONG");
   C.close();
-  S.stop();
-  ASSERT_TRUE(S.result().Ok) << S.result().Error;
-  EXPECT_GT(S.snapshot().WordsCopied, S.baseline().WordsCopied);
+  P.stop();
+  ASSERT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  EXPECT_GT(P.snapshot().WordsCopied, P.baseline().WordsCopied);
 }
 
 TEST(Serve, SequentialRequestsOnOneConnection) {
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   for (int K = 0; K < 100; ++K)
     ASSERT_EQ(ask(C, "EVAL (* " + std::to_string(K) + " 2)"),
               std::to_string(K * 2))
         << "request " << K;
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
-  EXPECT_EQ(S.snapshot().RequestsServed - S.baseline().RequestsServed, 100u);
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  EXPECT_EQ(P.snapshot().RequestsServed - P.baseline().RequestsServed, 100u);
 }
 
 TEST(Serve, GracefulStopIsIdempotentAndOk) {
-  Server S(options());
-  mustStart(S);
-  EXPECT_TRUE(S.running());
-  S.stop();
-  S.stop(); // Second stop is a no-op.
-  EXPECT_FALSE(S.running());
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
+  Pool P(options());
+  mustStart(P);
+  EXPECT_TRUE(P.running());
+  P.stop();
+  P.stop(); // Second stop is a no-op.
+  EXPECT_FALSE(P.running());
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
   // The serving program's value is the scheduler-run thread count.
-  EXPECT_TRUE(S.result().Val.isFixnum());
+  EXPECT_TRUE(P.result(0).Val.isFixnum());
+}
+
+TEST(Serve, QuitEndsOnlyItsOwnConnection) {
+  // QUIT answers BYE and closes the quitting client's connection, nothing
+  // more: the listener stays open, so a client that connects afterwards
+  // is served, and stop() still shuts the pool down.
+  Pool P(options());
+  mustStart(P);
+  Client A;
+  std::string E;
+  ASSERT_TRUE(A.connect(P.tcpPort(), E)) << E;
+  EXPECT_EQ(ask(A, "QUIT"), "BYE");
+  std::string Reply;
+  EXPECT_FALSE(A.recvLine(Reply)); // Closed after BYE.
+  A.close();
+  Client Later;
+  ASSERT_TRUE(Later.connect(P.tcpPort(), E)) << E;
+  EXPECT_EQ(ask(Later, "PING"), "PONG");
+  Later.close();
+  P.stop();
+  ASSERT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  Stats::Snapshot D = P.snapshot() - P.baseline();
+  EXPECT_EQ(D.AcceptedConnections, 2u);
+  EXPECT_EQ(D.RequestsServed, 1u);
 }
 
 TEST(Serve, PreemptiveSchedulingStillServes) {
@@ -253,42 +279,42 @@ TEST(Serve, PreemptiveSchedulingStillServes) {
   // parks; replies must be unaffected.
   ServeOptions O = options();
   O.PreemptInterval = 50;
-  Server S(O);
-  mustStart(S);
+  Pool P(O);
+  mustStart(P);
   Client C;
   std::string E;
-  ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
   for (int K = 0; K < 10; ++K)
     ASSERT_EQ(ask(C, "EVAL (+ 2 " + std::to_string(K) + ")"),
               std::to_string(K + 2));
   C.close();
-  S.stop();
-  EXPECT_TRUE(S.result().Ok) << S.result().Error;
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
 }
 
 TEST(Serve, PeerResetEndsOnlyThatConnection) {
   // A client that pipelines requests and resets the connection mid-reply:
   // the reset reaps that connection, the serving program keeps running,
   // and every later client is served.
-  Server S(options());
-  mustStart(S);
+  Pool P(options());
+  mustStart(P);
   std::string Batch = "EVAL (* 6 7)";
   for (int K = 1; K < 200; ++K)
     Batch += "\nEVAL (* 6 7)";
   for (int R = 0; R < 4; ++R) {
     Client C;
     std::string E;
-    ASSERT_TRUE(C.connect(S.tcpPort(), E)) << E;
+    ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
     ASSERT_TRUE(C.sendLine(Batch));
     linger Lg{1, 0};
     ASSERT_EQ(::setsockopt(C.fd(), SOL_SOCKET, SO_LINGER, &Lg, sizeof Lg), 0);
     C.close();
     Client Next;
-    ASSERT_TRUE(Next.connect(S.tcpPort(), E)) << E;
+    ASSERT_TRUE(Next.connect(P.tcpPort(), E)) << E;
     EXPECT_EQ(ask(Next, "PING"), "PONG") << "after reset " << R;
   }
-  S.stop();
-  ASSERT_TRUE(S.result().Ok) << S.result().Error;
-  Stats::Snapshot D = S.snapshot() - S.baseline();
+  P.stop();
+  ASSERT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  Stats::Snapshot D = P.snapshot() - P.baseline();
   EXPECT_EQ(D.WordsCopied, 0u);
 }

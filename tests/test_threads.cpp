@@ -108,8 +108,9 @@ TEST(Threads, EngineThreadsAgreeWithCooperative) {
                              std::to_string(Interval) + ")"),
               std::to_string(6 * fibRef(11)))
         << "interval " << Interval;
-    if (Interval == 3)
+    if (Interval == 3) {
       EXPECT_GT(I.stats().OneShotCaptures, 50u); // Real preemptions.
+    }
   }
 }
 
