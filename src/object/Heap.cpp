@@ -6,7 +6,37 @@
 #include <cstdlib>
 #include <cstring>
 
+// Under ASan a free cell stays poisoned until it is handed out again, so a
+// use of a collected object reports as it would after free().
+#if defined(__SANITIZE_ADDRESS__)
+#define OSC_HEAP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OSC_HEAP_ASAN 1
+#endif
+#endif
+
+#ifdef OSC_HEAP_ASAN
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(P, N) ((void)(P), (void)(N))
+#define ASAN_UNPOISON_MEMORY_REGION(P, N) ((void)(P), (void)(N))
+#endif
+
 using namespace osc;
+
+namespace {
+
+/// The head of a size-class page: the end of the cells handed out so far.
+/// The cells follow it.
+struct PageHead {
+  char *Top;
+};
+
+char *firstCell(char *Page) { return Page + sizeof(PageHead); }
+char *&pageTop(char *Page) { return reinterpret_cast<PageHead *>(Page)->Top; }
+
+} // namespace
 
 const char *osc::objKindName(ObjKind K) {
   switch (K) {
@@ -58,7 +88,10 @@ Heap::Heap(Stats &S, uint64_t GcThresholdBytes)
     : S(S), GcThresholdBytes(GcThresholdBytes) {}
 
 Heap::~Heap() {
-  ObjHeader *O = AllObjects;
+  for (SizeClass &C : Classes)
+    for (char *Page : C.Pages)
+      std::free(Page);
+  ObjHeader *O = Large;
   while (O) {
     ObjHeader *Next = O->Next;
     std::free(O);
@@ -66,26 +99,50 @@ Heap::~Heap() {
   }
 }
 
+ObjHeader *Heap::allocCellOf(size_t Bytes) {
+  SizeClass &C = Classes[(Bytes - MinCellBytes) / 8];
+  if (ObjHeader *O = C.Free) {
+    ASAN_UNPOISON_MEMORY_REGION(O, Bytes);
+    C.Free = O->Next;
+    return O;
+  }
+  if (!C.Bump || pageTop(C.Bump) + Bytes > C.Bump + PageBytes) {
+    char *Page = static_cast<char *>(std::malloc(PageBytes));
+    if (!Page)
+      return nullptr;
+    pageTop(Page) = firstCell(Page);
+    C.Pages.push_back(Page);
+    C.Bump = Page;
+  }
+  char *&Top = pageTop(C.Bump);
+  auto *O = reinterpret_cast<ObjHeader *>(Top);
+  Top += Bytes;
+  return O;
+}
+
 void *Heap::rawAlloc(size_t Bytes, ObjKind Kind) {
   Bytes = (Bytes + 7) & ~size_t(7);
-  void *Mem = std::malloc(Bytes);
-  if (!Mem) {
+  bool OnPage = Bytes <= MaxCellBytes && Kind != ObjKind::StackSegment;
+  auto *O = OnPage ? allocCellOf(Bytes)
+                   : static_cast<ObjHeader *>(std::malloc(Bytes));
+  if (!O) {
     std::fprintf(stderr, "osc: allocation of %zu bytes (kind %s) failed\n",
                  Bytes, objKindName(Kind));
     oscFatal("heap exhausted (malloc failed)");
   }
-  auto *O = static_cast<ObjHeader *>(Mem);
-  O->Next = AllObjects;
+  if (!OnPage) {
+    O->Next = Large;
+    Large = O;
+  }
   O->SizeBytes = static_cast<uint32_t>(Bytes);
   O->Kind = Kind;
   O->Mark = false;
-  AllObjects = O;
   S.BytesAllocated += Bytes;
   S.ObjectsAllocated += 1;
   BytesSinceGC += Bytes;
   AllocsSinceGC += 1;
   OSC_TRACE(Tr, TraceEvent::Alloc, static_cast<uint64_t>(Kind), Bytes);
-  return Mem;
+  return O;
 }
 
 Pair *Heap::allocPair(Value Car, Value Cdr) {
@@ -239,10 +296,17 @@ Symbol *Heap::intern(std::string_view Name) {
 
 uint64_t Heap::segmentWordsInHeap() const {
   uint64_t Words = 0;
-  for (ObjHeader *O = AllObjects; O; O = O->Next)
+  for (ObjHeader *O = Large; O; O = O->Next)
     if (O->Kind == ObjKind::StackSegment)
       Words += static_cast<StackSegment *>(O)->Capacity;
   return Words;
+}
+
+size_t Heap::pageCount() const {
+  size_t N = 0;
+  for (const SizeClass &C : Classes)
+    N += C.Pages.size();
+  return N;
 }
 
 void Heap::addRootProvider(RootProvider *P) { RootProviders.push_back(P); }
@@ -317,6 +381,52 @@ void Heap::traceObject(ObjHeader *O, GCVisitor &V) {
   oscUnreachable("bad ObjKind in traceObject");
 }
 
+void Heap::sweepClass(SizeClass &C, size_t CellBytes, uint64_t &Live,
+                      uint64_t &Freed) {
+  std::sort(C.Pages.begin(), C.Pages.end());
+  ObjHeader *Free = nullptr;
+  ObjHeader **Tail = &Free;
+  size_t Kept = 0;
+  for (char *Page : C.Pages) {
+    char *Top = pageTop(Page);
+    ASAN_UNPOISON_MEMORY_REGION(Page, Top - Page);
+    ObjHeader **PageFree = Tail;
+    bool AnyLive = false;
+    for (char *P = firstCell(Page); P != Top; P += CellBytes) {
+      auto *O = reinterpret_cast<ObjHeader *>(P);
+      if (O->Mark) {
+        O->Mark = false;
+        Live += O->SizeBytes;
+        AnyLive = true;
+        continue;
+      }
+      // A cell already free carries SizeBytes 0, so only garbage counts.
+      Freed += O->SizeBytes;
+      O->SizeBytes = 0;
+      *Tail = O;
+      Tail = &O->Next;
+    }
+    if (AnyLive) {
+      C.Pages[Kept++] = Page;
+      continue;
+    }
+    Tail = PageFree;
+    if (Page == C.Bump)
+      C.Bump = nullptr;
+    std::free(Page);
+  }
+  *Tail = nullptr;
+  C.Pages.resize(Kept);
+  C.Free = Free;
+#ifdef OSC_HEAP_ASAN
+  for (ObjHeader *O = Free; O;) {
+    ObjHeader *Next = O->Next;
+    ASAN_POISON_MEMORY_REGION(O, CellBytes);
+    O = Next;
+  }
+#endif
+}
+
 void Heap::collect() {
   OSC_TRACE(Tr, TraceEvent::GcStart, BytesSinceGC);
   for (RootProvider *P : RootProviders)
@@ -339,10 +449,11 @@ void Heap::collect() {
     traceObject(O, V);
   }
 
-  // Sweep.
   uint64_t Freed = 0;
   uint64_t Live = 0;
-  ObjHeader **Link = &AllObjects;
+  for (size_t I = 0; I != NumClasses; ++I)
+    sweepClass(Classes[I], MinCellBytes + 8 * I, Live, Freed);
+  ObjHeader **Link = &Large;
   while (ObjHeader *O = *Link) {
     if (O->Mark) {
       O->Mark = false;

@@ -9,6 +9,14 @@
 /// safepoint interval.  Longer-lived host references are registered through
 /// GCRoot or RootProvider.
 ///
+/// Objects of up to MaxCellBytes live on size-class pages: one class per 8
+/// bytes, each page PageBytes of malloc'd memory cut into cells of exactly
+/// the objects' size.  A page is bump-allocated until full; the sweep walks
+/// every class's pages in address order, threads the dead cells onto the
+/// class's free list (reused before any bump) and frees a page with no
+/// live cell.  Larger objects and every stack segment are malloc'd one by
+/// one on a list of their own.
+///
 /// Stack segments are traced through the objects that view them (the
 /// current ControlStack and captured Continuations), each scanning exactly
 /// its occupied range, so dead words above a seal are never marked and
@@ -96,6 +104,11 @@ private:
 /// The garbage-collected heap for one interpreter instance.
 class Heap {
 public:
+  /// Bytes of one size-class page.
+  static constexpr size_t PageBytes = 32u << 10;
+  /// Largest object kept on a page; anything bigger is malloc'd alone.
+  static constexpr size_t MaxCellBytes = 256;
+
   explicit Heap(Stats &S, uint64_t GcThresholdBytes = 4u << 20);
   ~Heap();
   Heap(const Heap &) = delete;
@@ -156,13 +169,30 @@ public:
   /// pinned by the control stack and by live continuations (the
   /// fragmentation §3.4 is about).
   uint64_t segmentWordsInHeap() const;
+  /// Size-class pages currently held, over all classes.
+  size_t pageCount() const;
   Stats &stats() { return S; }
 
 private:
   friend class GCRoot;
 
+  static constexpr size_t MinCellBytes = sizeof(ObjHeader);
+  static constexpr size_t NumClasses = (MaxCellBytes - MinCellBytes) / 8 + 1;
+
+  /// The pages of one cell size.  Each page starts with the end of the
+  /// cells handed out from it (PageHead, Heap.cpp); the cells follow.
+  /// Free cells are linked through ObjHeader::Next and carry SizeBytes 0.
+  struct SizeClass {
+    std::vector<char *> Pages;
+    char *Bump = nullptr;      ///< The page allocated from when Free is empty.
+    ObjHeader *Free = nullptr; ///< Address order after each sweep.
+  };
+
   void *rawAlloc(size_t Bytes, ObjKind Kind);
+  ObjHeader *allocCellOf(size_t Bytes);
   void traceObject(ObjHeader *O, GCVisitor &V);
+  void sweepClass(SizeClass &C, size_t CellBytes, uint64_t &Live,
+                  uint64_t &Freed);
 
   Stats &S;
   Trace *Tr = nullptr;               ///< Event tracer; may be null.
@@ -171,7 +201,8 @@ private:
   uint64_t BytesSinceGC = 0;
   uint64_t AllocsSinceGC = 0;
   uint64_t LiveBytes = 0;
-  ObjHeader *AllObjects = nullptr;
+  SizeClass Classes[NumClasses];
+  ObjHeader *Large = nullptr; ///< Malloc'd objects, linked through Next.
   std::vector<RootProvider *> RootProviders;
   std::vector<GCRoot *> Roots;
   std::unordered_map<std::string, Symbol *> Symbols;

@@ -4,10 +4,10 @@
 /// Heap object layouts.
 ///
 /// All heap objects begin with an ObjHeader carrying the kind, the mark bit
-/// for the non-moving mark-sweep collector, and an intrusive link used by
-/// the sweep phase.  Variable-length objects (strings, vectors, code,
-/// closures, stack segments) store their payload inline after the fixed
-/// fields.
+/// for the non-moving mark-sweep collector, and an intrusive link the heap
+/// threads free cells and malloc'd objects on.  Variable-length objects
+/// (strings, vectors, code, closures, stack segments) store their payload
+/// inline after the fixed fields.
 ///
 /// StackSegment and Continuation are the data half of the paper's
 /// contribution; the operations on them live in src/core/ControlStack.h.
@@ -48,7 +48,7 @@ const char *objKindName(ObjKind K);
 
 /// Common header of every heap object.
 struct ObjHeader {
-  ObjHeader *Next = nullptr; ///< Intrusive all-objects list for sweeping.
+  ObjHeader *Next = nullptr; ///< Free-cell or malloc'd-object list (Heap).
   uint32_t SizeBytes = 0;    ///< Full allocation size, for accounting.
   ObjKind Kind;
   bool Mark = false;

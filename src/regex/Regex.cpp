@@ -25,7 +25,9 @@ void ProgramBuffer::grow() {
 //   repeat := atom ('*' | '+' | '?' | '{' m (',' n?)? '}')?
 //   atom   := literal | '.' | '^' | '$' | class | '(' alt ')' | escape
 //
-// The tree is tiny and short-lived; the compiler below walks it once.
+// The tree is tiny and short-lived; the compiler below walks it once.  A
+// cat or alt node holds its items in a list, so the tree is only as deep
+// as the pattern's groups (MaxGroupDepth), however long the pattern.
 
 namespace {
 
@@ -42,13 +44,14 @@ struct Node {
     NRep,
     NBegin,
     NEnd,
-    NEmpty,
   };
-  NK K = NEmpty;
+  NK K = NCat;
   uint8_t C = 0;          ///< NChar.
   uint32_t Bits[8] = {};  ///< NClass membership bitmap.
   int Min = 0, Max = 0;   ///< NRep bounds; Max == -1 means unbounded.
-  std::unique_ptr<Node> L, R;
+  std::unique_ptr<Node> L; ///< Body of NStar, NPlus, NOpt and NRep.
+  std::vector<std::unique_ptr<Node>> Kids; ///< NCat items (none: the empty
+                                           ///< pattern); NAlt choices (>= 2).
 };
 
 using NodePtr = std::unique_ptr<Node>;
@@ -72,6 +75,7 @@ struct Parser {
   std::string_view Pat;
   size_t Pos = 0;
   std::string Err;
+  unsigned Depth = 0; ///< Groups open at Pos.
 
   bool atEnd() const { return Pos >= Pat.size(); }
   char peek() const { return Pat[Pos]; }
@@ -222,7 +226,11 @@ struct Parser {
     case '[':
       return parseClass();
     case '(': {
+      if (Depth == MaxGroupDepth)
+        return fail("groups nested too deeply");
+      ++Depth;
       NodePtr Body = parseAlt();
+      --Depth;
       if (!Body)
         return nullptr;
       if (!accept(')'))
@@ -324,39 +332,29 @@ struct Parser {
 
   NodePtr parseCat() {
     auto N = std::make_unique<Node>();
-    N->K = Node::NEmpty;
     while (!atEnd() && peek() != '|' && peek() != ')') {
       NodePtr R = parseRepeat();
       if (!R)
         return nullptr;
-      if (N->K == Node::NEmpty) {
-        N = std::move(R);
-      } else {
-        auto Cat = std::make_unique<Node>();
-        Cat->K = Node::NCat;
-        Cat->L = std::move(N);
-        Cat->R = std::move(R);
-        N = std::move(Cat);
-      }
+      N->Kids.push_back(std::move(R));
     }
     return N;
   }
 
   NodePtr parseAlt() {
     NodePtr N = parseCat();
-    if (!N)
-      return nullptr;
+    if (!N || atEnd() || peek() != '|')
+      return N;
+    auto Alt = std::make_unique<Node>();
+    Alt->K = Node::NAlt;
+    Alt->Kids.push_back(std::move(N));
     while (accept('|')) {
       NodePtr R = parseCat();
       if (!R)
         return nullptr;
-      auto Alt = std::make_unique<Node>();
-      Alt->K = Node::NAlt;
-      Alt->L = std::move(N);
-      Alt->R = std::move(R);
-      N = std::move(Alt);
+      Alt->Kids.push_back(std::move(R));
     }
-    return N;
+    return Alt;
   }
 };
 
@@ -388,30 +386,12 @@ struct Emitter {
         push(N.Bits[I]);
       return;
     case Node::NCat:
-      emit(*N.L);
-      emit(*N.R);
+      for (const NodePtr &Kid : N.Kids)
+        emit(*Kid);
       return;
-    case Node::NAlt: {
-      uint32_t S = Out.size();
-      push(OpSplit);
-      push(0);
-      push(0);
-      if (Overflow)
-        return;
-      Out[S + 1] = Out.size();
-      emit(*N.L);
-      uint32_t J = Out.size();
-      push(OpJmp);
-      push(0);
-      if (Overflow)
-        return;
-      Out[S + 2] = Out.size();
-      emit(*N.R);
-      if (Overflow)
-        return;
-      Out[J + 1] = Out.size();
+    case Node::NAlt:
+      emitAlt(N.Kids);
       return;
-    }
     case Node::NStar:
       emitStar(*N.L);
       return;
@@ -449,8 +429,36 @@ struct Emitter {
     case Node::NEnd:
       push(OpEnd);
       return;
-    case Node::NEmpty:
+    }
+  }
+
+  /// The program of the left-nested binary form ((a|b)|c)|d: one split per
+  /// '|', outermost first, each preferring the split after it; then the
+  /// first choice, and every later choice behind a jump that skips it and
+  /// is the target of its split's second arm.
+  void emitAlt(const std::vector<NodePtr> &Choices) {
+    uint32_t First = Out.size();
+    size_t NSplits = Choices.size() - 1;
+    for (size_t I = 0; I != NSplits; ++I) {
+      push(OpSplit);
+      push(Out.size() + 2);
+      push(0);
+    }
+    if (Overflow)
       return;
+    emit(*Choices[0]);
+    for (size_t I = 1; I != Choices.size(); ++I) {
+      uint32_t J = Out.size();
+      push(OpJmp);
+      push(0);
+      if (Overflow)
+        return;
+      // Choice I is the second arm of the I-th split from the innermost.
+      Out[First + 3 * (NSplits - I) + 2] = Out.size();
+      emit(*Choices[I]);
+      if (Overflow)
+        return;
+      Out[J + 1] = Out.size();
     }
   }
 

@@ -105,6 +105,12 @@ private:
   uint32_t Cap = InlineWords;
 };
 
+/// Groups may nest this deep.  The parser, the compiler and the parse
+/// tree's teardown each recurse once per group level (a run of
+/// concatenated or alternated items is a loop), so a deeper pattern is a
+/// parse error rather than a stack overflow.
+constexpr unsigned MaxGroupDepth = 1000;
+
 /// Compiles \p Pattern into \p Out.  On success returns true; on a parse
 /// error returns false with a human-readable message in \p Err.
 bool compile(std::string_view Pattern, ProgramBuffer &Out, std::string &Err);

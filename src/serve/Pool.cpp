@@ -210,14 +210,16 @@ const char *Pool::workerSource() {
 ;; — QUIT, client EOF, or the reactor reaping a slow/idle connection and
 ;; waking the parked read with EOF — the nursery scope closes and every
 ;; still-parked handler is cancelled by one-shot poisoning, in spawn
-;; order, byte-identically run to run.  QUIT answers BYE and closes this
+;; order, byte-identically run to run.  QUIT first waits for the requests
+;; pipelined ahead of it (settle), then answers BYE and closes this
 ;; connection only: the worker stops when the host closes its handoff
 ;; queue.
-(define (conn-loop conn bump)
+(define (conn-loop conn bump settle)
   (let ((line (io-read-line conn)))
     (cond
       ((eof-object? line) (io-close conn))
       ((string=? line "QUIT")
+       (settle)
        (io-write conn "BYE\n")
        (close-conn conn))
       ;; MATCH/STREAM runs inline, not spawned: the handler reads chunk
@@ -228,7 +230,7 @@ const char *Pool::workerSource() {
       ((starts-with? line "MATCH/STREAM ")
        (serve-request-done!)
        (handle-match-stream conn (substring line 13 (string-length line)))
-       (conn-loop conn bump))
+       (conn-loop conn bump settle))
       (else
        (channel-send! %tokens 1)
        (bump 1)
@@ -236,7 +238,7 @@ const char *Pool::workerSource() {
                          (handle-request conn line)
                          (channel-recv %tokens)
                          (bump -1)))
-       (conn-loop conn bump)))))
+       (conn-loop conn bump settle)))))
 
 ;; Overload protection.  %live-conns counts connections currently owned by
 ;; a conn thread; admit-conn refuses new arrivals past *max-conns* with a
@@ -247,11 +249,34 @@ const char *Pool::workerSource() {
 ;; whole request tree on the way).
 (define %live-conns 0)
 
+;; A QUIT with handlers still running parks in channel-recv on a one-slot
+;; channel, and the last handler to finish sends on it.  Channels are
+;; never freed, so a worker keeps the ones it made for the next QUIT.
+(define %quit-chans '())
+
+(define (take-quit-chan)
+  (if (pair? %quit-chans)
+      (let ((ch (car %quit-chans)))
+        (set! %quit-chans (cdr %quit-chans))
+        ch)
+      (make-channel 1)))
+
 (define (conn-thread conn)
   (set! %live-conns (+ %live-conns 1))
-  (let ((pending 0))
-    (nursery
-     (conn-loop conn (lambda (d) (set! pending (+ pending d)))))
+  (let* ((pending 0)
+         (waiter #f)
+         (bump (lambda (d)
+                 (set! pending (+ pending d))
+                 (if waiter
+                     (if (= pending 0) (channel-send! waiter #t)))))
+         (settle (lambda ()
+                   (if (> pending 0)
+                       (let ((ch (take-quit-chan)))
+                         (set! waiter ch)
+                         (channel-recv ch)
+                         (set! waiter #f)
+                         (set! %quit-chans (cons ch %quit-chans)))))))
+    (nursery (conn-loop conn bump settle))
     ;; Reclaim tokens orphaned by cancelled handlers: pending counts this
     ;; connection's un-returned tokens, and sends/recvs balance globally,
     ;; so the buffer holds at least that many — try-recv never parks.

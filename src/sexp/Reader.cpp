@@ -36,11 +36,11 @@ void Reader::skipAtmosphere() {
         advance();
       continue;
     }
-    // Datum comment #;<datum>
+    // Datum comment #;<datum>.  readDatum skips the atmosphere before the
+    // datum itself, so nested comments recurse through its depth bound.
     if (C == '#' && Pos + 1 < Input.size() && Input[Pos + 1] == ';') {
       advance();
       advance();
-      skipAtmosphere();
       ReadResult Skipped = readDatum();
       if (!Skipped.Ok)
         return; // The syntax error will re-surface on the next read.
@@ -80,6 +80,17 @@ bool Reader::readAll(std::vector<Value> &Out, std::string &Error) {
 }
 
 ReadResult Reader::readDatum() {
+  if (Depth == MaxDepth)
+    return error("datum nested too deeply");
+  // Restores Depth on every way out, a throwing allocation included.
+  struct Nesting {
+    unsigned &Depth;
+    ~Nesting() { --Depth; }
+  } Level{++Depth};
+  return readDatumBody();
+}
+
+ReadResult Reader::readDatumBody() {
   skipAtmosphere();
   if (atEnd())
     return error("unexpected end of input");

@@ -31,8 +31,14 @@ struct ReadResult {
 /// #t/#f, characters (#\a, #\space, #\newline, #\tab), strings with escapes,
 /// symbols, quote/quasiquote/unquote/unquote-splicing sugar, line comments
 /// (;) and datum comments (#;).
+///
+/// Each nesting level (list, vector, quote sugar, datum comment) is one
+/// level of C++ recursion, so a datum nested deeper than MaxDepth is a
+/// read error rather than a stack overflow.
 class Reader {
 public:
+  static constexpr unsigned MaxDepth = 1000;
+
   Reader(Heap &H, std::string_view Input);
 
   /// Reads the next datum.  AtEof is set when input is exhausted.
@@ -49,6 +55,7 @@ private:
   void skipAtmosphere(); ///< Whitespace + comments.
   ReadResult error(const std::string &Msg);
   ReadResult readDatum();
+  ReadResult readDatumBody();
   ReadResult readList(char Close);
   ReadResult readVector();
   ReadResult readString();
@@ -60,6 +67,7 @@ private:
   std::string_view Input;
   size_t Pos = 0;
   unsigned Line = 1;
+  unsigned Depth = 0; ///< readDatum calls in progress.
 };
 
 /// Convenience: reads a single datum from \p Text.

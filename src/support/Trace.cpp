@@ -85,7 +85,14 @@ const char *osc::traceEventName(TraceEvent E) {
 }
 
 Trace::Trace(uint32_t CapacityEvents)
-    : Ring(std::max<uint32_t>(CapacityEvents, 1)) {}
+    : Cap(std::max<uint32_t>(CapacityEvents, 1)) {}
+
+void Trace::start() {
+  if (Ring.empty())
+    Ring.resize(Cap);
+  clear();
+  Enabled = true;
+}
 
 std::vector<Trace::Record> Trace::snapshot() const {
   std::vector<Record> Out;
@@ -93,7 +100,7 @@ std::vector<Trace::Record> Trace::snapshot() const {
   Out.reserve(N);
   uint64_t First = NextSeq - N;
   for (uint64_t S = First; S != NextSeq; ++S)
-    Out.push_back(Ring[static_cast<size_t>(S % Ring.size())]);
+    Out.push_back(Ring[static_cast<size_t>(S % Cap)]);
   return Out;
 }
 

@@ -17,11 +17,11 @@
 /// tracer costs one predictable branch and no call.  Stats::Instructions is
 /// unaffected either way — guards execute no bytecode.
 ///
-/// The buffer is a ring: when full, the oldest records are overwritten and
-/// dropped() reports how many were lost.  Export formats: toString() (one
-/// "#seq name payload..." line per record) and toChromeJson() (Chrome
-/// about:tracing / Perfetto instant events, with the sequence number as the
-/// timestamp).
+/// The buffer is a ring, allocated by the first start(): when full, the
+/// oldest records are overwritten and dropped() reports how many were lost.
+/// Export formats: toString() (one "#seq name payload..." line per record)
+/// and toChromeJson() (Chrome about:tracing / Perfetto instant events, with
+/// the sequence number as the timestamp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,15 +129,13 @@ public:
 
   bool enabled() const { return Enabled; }
   /// Clears the buffer and starts recording.
-  void start() {
-    clear();
-    Enabled = true;
-  }
+  void start();
   void stop() { Enabled = false; }
   void clear() {
     NextSeq = 0;
   }
 
+  /// Emit only while enabled(): the ring exists from the first start().
   void emit(TraceEvent K) { push(K, 0); }
   void emit(TraceEvent K, uint64_t A) {
     Record &R = push(K, 1);
@@ -157,9 +155,9 @@ public:
 
   /// Records currently held (<= capacity).
   size_t size() const {
-    return NextSeq < Ring.size() ? static_cast<size_t>(NextSeq) : Ring.size();
+    return NextSeq < Cap ? static_cast<size_t>(NextSeq) : Cap;
   }
-  size_t capacity() const { return Ring.size(); }
+  size_t capacity() const { return Cap; }
   /// Total records emitted since the last clear (including overwritten).
   uint64_t emitted() const { return NextSeq; }
   /// Records lost to ring wraparound.
@@ -183,7 +181,8 @@ private:
     return R;
   }
 
-  std::vector<Record> Ring; ///< Fixed capacity, allocated once.
+  std::vector<Record> Ring; ///< Cap records once started, else empty.
+  uint32_t Cap;             ///< Records the ring holds once started.
   uint64_t NextSeq = 0;
   bool Enabled = false;
 };

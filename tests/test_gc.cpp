@@ -1,6 +1,8 @@
 // Garbage collector tests: liveness via roots, cycles, precise tracing of
-// continuation stack ranges, segment-cache discarding at GC, and
-// whole-interpreter integrity under GC pressure.
+// continuation stack ranges, segment-cache discarding at GC, the
+// size-class pages (every class, partly and fully dead pages, exact byte
+// accounting, a flat page count under churn), and whole-interpreter
+// integrity under GC pressure.
 
 #include "object/Heap.h"
 #include "object/ListUtil.h"
@@ -8,6 +10,17 @@
 #include "vm/Interp.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define OSC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OSC_TEST_ASAN 1
+#endif
+#endif
 
 using namespace osc;
 
@@ -120,6 +133,194 @@ TEST_F(GcTest, GrowthTriggersAndThresholdAdapts) {
         Small.allocPair(Value::fixnum(J), J % 100 ? Keep.get() : Value::nil())));
   }
   EXPECT_GT(S2.GcCount, 0u);
+}
+
+// --- Size-class pages --------------------------------------------------------
+
+namespace {
+
+/// A string whose allocation is exactly \p Bytes (a multiple of 8, at
+/// least sizeof(String)), filled with a byte derived from \p Seed.
+String *stringOfSize(Heap &H, size_t Bytes, char Seed) {
+  return H.allocString(std::string(Bytes - sizeof(String), Seed));
+}
+
+} // namespace
+
+TEST_F(GcTest, EveryClassLargeObjectsAndSegmentsKeepTheirContents) {
+  // One string per class from the smallest string (24 B; no object kind
+  // is 16 B) to MaxCellBytes, one 264 B string and one segment: a page
+  // per class, none for the two malloc'd objects.
+  static_assert(sizeof(String) == 24, "string sizes below assume 24");
+  const size_t Min = sizeof(String), Max = Heap::MaxCellBytes;
+  const uint32_t N = static_cast<uint32_t>((Max - Min) / 8 + 1) + 2;
+  GCRoot Keep(H, Value::object(H.allocVector(N)));
+  auto *Vec = castObj<Vector>(Keep.get());
+  uint64_t Expected = Vec->SizeBytes;
+  uint32_t I = 0;
+  for (size_t Bytes = Min; Bytes <= Max + 8; Bytes += 8, ++I) {
+    String *Str = stringOfSize(H, Bytes, static_cast<char>('a' + I % 26));
+    EXPECT_EQ(Str->SizeBytes, Bytes);
+    Vec->set(I, Value::object(Str));
+    Expected += Bytes;
+  }
+  StackSegment *Seg = H.allocSegment(64);
+  Seg->Slots[5] = Value::fixnum(55);
+  Vec->set(I, Value::object(Seg));
+  Expected += Seg->SizeBytes;
+  EXPECT_EQ(H.pageCount(), (Max - Min) / 8 + 1);
+
+  for (int Round = 0; Round != 2; ++Round) {
+    H.collect();
+    EXPECT_EQ(H.liveBytesAfterLastGC(), Expected);
+    EXPECT_EQ(H.pageCount(), (Max - Min) / 8 + 1);
+    EXPECT_EQ(H.segmentWordsInHeap(), 64u);
+    I = 0;
+    for (size_t Bytes = Min; Bytes <= Max + 8; Bytes += 8, ++I) {
+      std::string_view View = castObj<String>(Vec->get(I))->view();
+      EXPECT_EQ(View, std::string(Bytes - Min, static_cast<char>('a' + I % 26)))
+          << Bytes;
+    }
+    EXPECT_EQ(castObj<StackSegment>(Vec->get(I))->Slots[5].asFixnum(), 55);
+  }
+}
+
+TEST_F(GcTest, SurvivorsOnAPartlyLivePageKeepTheirContents) {
+  // Keep every third pair of a few pages' worth; the dead cells between
+  // them are reused before any new page, and the survivors never move.
+  const int N = 3000;
+  GCRoot Keep(H, Value::nil());
+  for (int J = 0; J != N; ++J) {
+    Pair *P = H.allocPair(Value::fixnum(J), Value::nil());
+    if (J % 3 == 0) {
+      P->Cdr = Keep.get();
+      Keep.set(Value::object(P));
+    }
+  }
+  size_t Pages = H.pageCount();
+  Value Before = Keep.get();
+  H.collect();
+  EXPECT_EQ(H.pageCount(), Pages);
+  for (int J = 0; J != 2 * N / 3; ++J)
+    H.allocPair(Value::fixnum(-1), Value::nil());
+  EXPECT_EQ(H.pageCount(), Pages); // Filled the holes, no new page.
+  EXPECT_TRUE(Keep.get().identical(Before));
+  int Expect = N - 1 - (N - 1) % 3;
+  for (Value L = Keep.get(); !L.isNil(); L = cdr(L), Expect -= 3)
+    EXPECT_EQ(car(L).asFixnum(), Expect);
+  EXPECT_EQ(Expect, -3);
+}
+
+TEST_F(GcTest, AFullyDeadPageIsFreed) {
+  // Fill several pages with pairs, keep one pair on the last page only:
+  // every other page has no live cell and goes back to malloc.
+  const size_t PerPage = Heap::PageBytes / sizeof(Pair);
+  Pair *Last = nullptr;
+  for (size_t J = 0; J != 5 * PerPage; ++J)
+    Last = H.allocPair(Value::fixnum(static_cast<int64_t>(J)), Value::nil());
+  ASSERT_GE(H.pageCount(), 5u);
+  GCRoot Keep(H, Value::object(Last));
+  H.collect();
+  EXPECT_EQ(H.pageCount(), 1u);
+  EXPECT_EQ(car(Keep.get()).asFixnum(), static_cast<int64_t>(5 * PerPage - 1));
+  Keep.set(Value::nil());
+  H.collect();
+  EXPECT_EQ(H.pageCount(), 0u);
+  EXPECT_EQ(H.liveBytesAfterLastGC(), 0u);
+}
+
+TEST_F(GcTest, FreedAndLiveBytesAreExact) {
+  // Live: a 100-pair list, one 300 B (malloc'd) vector and one flonum.
+  // Garbage: 250 pairs, 40 cells, 7 strings of 64 B and two 400 B
+  // vectors.  Both sums match to the byte, on the first collection and
+  // on a second one that finds the same live set and no new garbage.
+  GCRoot List(H, Value::nil());
+  for (int J = 0; J != 100; ++J)
+    List.set(Value::object(H.allocPair(Value::fixnum(J), List.get())));
+  Vector *Big = H.allocVector(34); // 32 + 33 * 8 = 296 -> 296 B.
+  GCRoot KeepBig(H, Value::object(Big));
+  GCRoot KeepF(H, Value::object(H.allocFlonum(2.5)));
+  uint64_t Live = 100 * sizeof(Pair) + Big->SizeBytes + sizeof(Flonum);
+  uint64_t Garbage = 0;
+  for (int J = 0; J != 250; ++J)
+    Garbage += H.allocPair(Value::nil(), Value::nil())->SizeBytes;
+  for (int J = 0; J != 40; ++J)
+    Garbage += H.allocCell(Value::nil())->SizeBytes;
+  for (int J = 0; J != 7; ++J)
+    Garbage += stringOfSize(H, 64, 'x')->SizeBytes;
+  for (int J = 0; J != 2; ++J)
+    Garbage += H.allocVector(46)->SizeBytes;
+  EXPECT_EQ(Garbage, 250 * 32u + 40 * 24u + 7 * 64u + 2 * 392u);
+  EXPECT_GT(Big->SizeBytes, Heap::MaxCellBytes);
+
+  uint64_t Freed0 = S.GcBytesFreed;
+  H.collect();
+  EXPECT_EQ(S.GcBytesFreed - Freed0, Garbage);
+  EXPECT_EQ(H.liveBytesAfterLastGC(), Live);
+  EXPECT_EQ(S.GcLivePeak, Live);
+  H.collect();
+  EXPECT_EQ(S.GcBytesFreed - Freed0, Garbage);
+  EXPECT_EQ(H.liveBytesAfterLastGC(), Live);
+}
+
+TEST(GcInterp, PageCountStaysFlatUnderMixedGarbage) {
+  // 100 MB of pairs, strings, vectors (some above MaxCellBytes) and
+  // closures with a small live set: after warm-up, a collection leaves
+  // no more pages than it did during the first tenth of the run.
+  Interp I;
+  Interp::Result Def = I.eval("(define keep (make-vector 64 #f))"
+         "(define pad \"" + std::string(120, 'a') + "\")"
+         "(define (churn n)"
+         "  (let loop ((i 0))"
+         "    (if (< i n)"
+         "        (let* ((k (remainder i 37))"
+         "               (v (make-vector k i))"
+         "               (s (substring pad 0 (* 3 k)))"
+         "               (f (lambda () (+ k i)))"
+         "               (l (list k s v f)))"
+         "          (vector-set! keep (remainder i 64) l)"
+         "          (loop (+ i 1))))))");
+  ASSERT_TRUE(Def.Ok) << Def.Error;
+  const uint64_t Total = 100u << 20;
+  uint64_t Start = I.stats().BytesAllocated;
+  size_t WarmPeak = 0, LaterPeak = 0;
+  while (I.stats().BytesAllocated - Start < Total) {
+    Interp::Result R = I.eval("(churn 2000)");
+    ASSERT_TRUE(R.Ok) << R.Error;
+    I.collect();
+    size_t Pages = I.heap().pageCount();
+    if (I.stats().BytesAllocated - Start < Total / 10)
+      WarmPeak = std::max(WarmPeak, Pages);
+    else
+      LaterPeak = std::max(LaterPeak, Pages);
+  }
+  EXPECT_GT(WarmPeak, 0u);
+  EXPECT_GT(LaterPeak, 0u);
+  EXPECT_LE(LaterPeak, WarmPeak);
+}
+
+TEST(GcAsan, UseOfACollectedObjectReports) {
+  // Reading an unrooted pair after collect() reports, as a use after
+  // free() did: on a page that keeps a live neighbour the dead cell is
+  // poisoned until it is handed out again; a page with no live cell has
+  // gone back to malloc.
+#ifndef OSC_TEST_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  auto ReadAfterCollect = [](bool KeepNeighbour) {
+    Stats S;
+    Heap H(S);
+    Pair *Dead = H.allocPair(Value::fixnum(1), Value::nil());
+    GCRoot Neighbour(H);
+    if (KeepNeighbour)
+      Neighbour.set(Value::object(H.allocPair(Value::nil(), Value::nil())));
+    H.collect();
+    volatile uint64_t Bits = Dead->Car.raw();
+    (void)Bits;
+  };
+  EXPECT_DEATH(ReadAfterCollect(true), "use-after-poison");
+  EXPECT_DEATH(ReadAfterCollect(false), "heap-use-after-free");
+#endif
 }
 
 // --- Interpreter-level GC behavior -------------------------------------------

@@ -10,6 +10,7 @@
 // also answer to -L regex so the subsystem runs in isolation).
 
 #include "osc.h"
+#include "regex/Regex.h"
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,48 @@ TEST_F(RegexTest, ParseErrorsAreTrappableAndTheVmSurvives) {
   }
   EXPECT_EQ(run("(+ 1 2)"), "3"); // the VM is still standing
   EXPECT_EQ(run("(regex-search (regex-compile \"b+\") \"abbbc\")"), "(1 . 4)");
+}
+
+TEST(RegexCompile, GroupDepthIsBoundedAndLengthIsALoop) {
+  // Parsing, compiling and freeing the tree recurse once per group level,
+  // never once per item, so only group depth needs a bound.
+  using namespace osc::regex;
+  auto Nest = [](unsigned D) {
+    return std::string(D, '(') + "a" + std::string(D, ')');
+  };
+  std::string Err;
+  {
+    ProgramBuffer B;
+    EXPECT_TRUE(compile(Nest(MaxGroupDepth), B, Err)) << Err;
+  }
+  for (unsigned D : {MaxGroupDepth + 1, 200000u}) {
+    ProgramBuffer B;
+    Err.clear();
+    EXPECT_FALSE(compile(Nest(D), B, Err)) << D;
+    EXPECT_EQ(Err, "groups nested too deeply") << D;
+  }
+  {
+    ProgramBuffer B;
+    EXPECT_TRUE(compile(std::string(30000, 'a'), B, Err)) << Err;
+    EXPECT_EQ(B.size(), 2u * 30000 + 1); // OpChar pairs, then OpMatch.
+  }
+  {
+    // 5000 alternatives: a split per '|', a jump per later choice.
+    std::string Alts = "a";
+    for (int I = 1; I != 5000; ++I)
+      Alts += "|a";
+    ProgramBuffer B;
+    EXPECT_TRUE(compile(Alts, B, Err)) << Err;
+    EXPECT_EQ(B.size(), 3u * 4999 + 2u * 5000 + 2u * 4999 + 1);
+  }
+  // Past the program cap, long flat patterns fail as too large.
+  for (const std::string &Long :
+       {std::string(500000, 'a'), std::string(300000, '|')}) {
+    ProgramBuffer B;
+    Err.clear();
+    EXPECT_FALSE(compile(Long, B, Err));
+    EXPECT_EQ(Err, "pattern too large");
+  }
 }
 
 TEST_F(RegexTest, TryCompileTurnsErrorsIntoFalse) {

@@ -9,6 +9,8 @@
 // Registered under the ctest label "serve".
 
 #include "osc.h"
+#include "regex/Regex.h"
+#include "sexp/Reader.h"
 
 #include <gtest/gtest.h>
 
@@ -272,6 +274,73 @@ TEST(Serve, QuitEndsOnlyItsOwnConnection) {
   Stats::Snapshot D = P.snapshot() - P.baseline();
   EXPECT_EQ(D.AcceptedConnections, 2u);
   EXPECT_EQ(D.RequestsServed, 1u);
+}
+
+TEST(Serve, QuitPipelinedBehindRequestsAnswersThemFirst) {
+  // QUIT in the same write as earlier requests parks until their handlers
+  // finish: every reply arrives, in order, and BYE comes last.  Three
+  // connections in turn, so the later ones reuse the worker's QUIT
+  // channel.
+  Pool P(options());
+  mustStart(P);
+  for (int K = 0; K != 3; ++K) {
+    Client C;
+    std::string E;
+    ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
+    ASSERT_TRUE(C.sendLine("PING\nEVAL (+ 1 (* 2 3))\nQUIT"));
+    std::string L;
+    ASSERT_TRUE(C.recvLine(L));
+    EXPECT_EQ(L, "PONG");
+    ASSERT_TRUE(C.recvLine(L));
+    EXPECT_EQ(L, "7");
+    ASSERT_TRUE(C.recvLine(L));
+    EXPECT_EQ(L, "BYE");
+    EXPECT_FALSE(C.recvLine(L)); // Closed after BYE.
+    C.close();
+  }
+  P.stop();
+  ASSERT_TRUE(P.result(0).Ok) << P.result(0).Error;
+  EXPECT_EQ((P.snapshot() - P.baseline()).RequestsServed, 6u);
+}
+
+TEST(Serve, DeepNestingAnswersErrAndTheWorkerLives) {
+  // A datum (lists or datum comments) or a pattern nested past the
+  // reader's or the regex parser's depth bound is a parse error, not a
+  // C-stack overflow on the worker thread: EVAL and MATCH answer ERR and
+  // the connection keeps serving.  At the bound both still parse.
+  Pool P(options());
+  mustStart(P);
+  Client C;
+  std::string E;
+  ASSERT_TRUE(C.connect(P.tcpPort(), E)) << E;
+  auto Sum = [](unsigned Parens) {
+    std::string S;
+    for (unsigned I = 0; I != Parens; ++I)
+      S += "(+ 1 ";
+    return S + "0" + std::string(Parens, ')');
+  };
+  auto Groups = [](unsigned D) {
+    return std::string(D, '(') + "a" + std::string(D, ')') + " xa";
+  };
+  // The innermost atom is the bound's last level.
+  EXPECT_EQ(ask(C, "EVAL " + Sum(Reader::MaxDepth - 1)),
+            std::to_string(Reader::MaxDepth - 1));
+  EXPECT_EQ(ask(C, "EVAL " + Sum(Reader::MaxDepth)), "ERR");
+  EXPECT_EQ(ask(C, "EVAL " + std::string(60000, '(') +
+                       std::string(60000, ')')),
+            "ERR");
+  std::string Comments;
+  for (int I = 0; I != 60000; ++I)
+    Comments += "#;";
+  EXPECT_EQ(ask(C, "EVAL " + Comments + "1"), "ERR");
+  EXPECT_EQ(ask(C, "PING"), "PONG");
+  EXPECT_EQ(ask(C, "MATCH " + Groups(regex::MaxGroupDepth)), "FOUND 1 2");
+  EXPECT_EQ(ask(C, "MATCH " + Groups(regex::MaxGroupDepth + 1)), "ERR");
+  EXPECT_EQ(ask(C, "MATCH " + Groups(200000)), "ERR");
+  EXPECT_EQ(ask(C, "PING"), "PONG");
+  C.close();
+  P.stop();
+  EXPECT_TRUE(P.result(0).Ok) << P.result(0).Error;
 }
 
 TEST(Serve, PreemptiveSchedulingStillServes) {

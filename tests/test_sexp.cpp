@@ -74,6 +74,32 @@ TEST_F(SexpTest, Lists) {
   EXPECT_EQ(roundTrip("( 1\n\t2 )"), "(1 2)");
 }
 
+TEST_F(SexpTest, NestingPastMaxDepthIsAReadError) {
+  // The reader recurses once per level (the atom at the bottom counts as
+  // one); past Reader::MaxDepth it reports an error instead of running
+  // off the C stack.
+  const unsigned D = Reader::MaxDepth;
+  std::string AtLimit = std::string(D, '(') + std::string(D, ')');
+  ReadResult R = readDatum(H, AtLimit);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  R = readDatum(H, "(" + AtLimit + ")");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("datum nested too deeply"), std::string::npos)
+      << R.Error;
+  // Quote sugar and datum comments nest through the same funnel.
+  EXPECT_TRUE(readDatum(H, std::string(D - 1, '\'') + "x").Ok);
+  EXPECT_FALSE(readDatum(H, std::string(D, '\'') + "x").Ok);
+  std::string Comments;
+  for (int I = 0; I != 100000; ++I)
+    Comments += "#;";
+  EXPECT_FALSE(readDatum(H, Comments + "x").Ok);
+  // Far past the bound, balanced or not, the read still just fails.
+  std::string Deep = std::string(100000, '(') + std::string(100000, ')');
+  EXPECT_FALSE(readDatum(H, Deep).Ok);
+  EXPECT_FALSE(readDatum(H, std::string(100000, '[')).Ok);
+  EXPECT_EQ(roundTrip("(a (b (c)))"), "(a (b (c)))");
+}
+
 TEST_F(SexpTest, Vectors) {
   EXPECT_EQ(roundTrip("#()"), "#()");
   EXPECT_EQ(roundTrip("#(1 2 3)"), "#(1 2 3)");
