@@ -6,22 +6,10 @@
 #include <cstdlib>
 #include <cstring>
 
-// Under ASan a free cell stays poisoned until it is handed out again, so a
-// use of a collected object reports as it would after free().
-#if defined(__SANITIZE_ADDRESS__)
-#define OSC_HEAP_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define OSC_HEAP_ASAN 1
-#endif
-#endif
-
-#ifdef OSC_HEAP_ASAN
+// Under ASan a free cell or a spare page stays poisoned until it is handed
+// out again, so a use of a collected object reports as it would after
+// free().  Without ASan the poisoning macros expand to nothing.
 #include <sanitizer/asan_interface.h>
-#else
-#define ASAN_POISON_MEMORY_REGION(P, N) ((void)(P), (void)(N))
-#define ASAN_UNPOISON_MEMORY_REGION(P, N) ((void)(P), (void)(N))
-#endif
 
 using namespace osc;
 
@@ -91,12 +79,23 @@ Heap::~Heap() {
   for (SizeClass &C : Classes)
     for (char *Page : C.Pages)
       std::free(Page);
+  for (char *Page : Spare)
+    std::free(Page);
   ObjHeader *O = Large;
   while (O) {
     ObjHeader *Next = O->Next;
     std::free(O);
     O = Next;
   }
+}
+
+char *Heap::takePage() {
+  if (Spare.empty())
+    return static_cast<char *>(std::malloc(PageBytes));
+  char *Page = Spare.back();
+  Spare.pop_back();
+  ASAN_UNPOISON_MEMORY_REGION(Page, PageBytes);
+  return Page;
 }
 
 ObjHeader *Heap::allocCellOf(size_t Bytes) {
@@ -107,9 +106,10 @@ ObjHeader *Heap::allocCellOf(size_t Bytes) {
     return O;
   }
   if (!C.Bump || pageTop(C.Bump) + Bytes > C.Bump + PageBytes) {
-    char *Page = static_cast<char *>(std::malloc(PageBytes));
+    char *Page = takePage();
     if (!Page)
       return nullptr;
+    ++PagesTaken;
     pageTop(Page) = firstCell(Page);
     C.Pages.push_back(Page);
     C.Bump = Page;
@@ -303,7 +303,7 @@ uint64_t Heap::segmentWordsInHeap() const {
 }
 
 size_t Heap::pageCount() const {
-  size_t N = 0;
+  size_t N = Spare.size();
   for (const SizeClass &C : Classes)
     N += C.Pages.size();
   return N;
@@ -413,18 +413,17 @@ void Heap::sweepClass(SizeClass &C, size_t CellBytes, uint64_t &Live,
     Tail = PageFree;
     if (Page == C.Bump)
       C.Bump = nullptr;
-    std::free(Page);
+    ASAN_POISON_MEMORY_REGION(Page, PageBytes);
+    Spare.push_back(Page);
   }
   *Tail = nullptr;
   C.Pages.resize(Kept);
   C.Free = Free;
-#ifdef OSC_HEAP_ASAN
   for (ObjHeader *O = Free; O;) {
     ObjHeader *Next = O->Next;
     ASAN_POISON_MEMORY_REGION(O, CellBytes);
     O = Next;
   }
-#endif
 }
 
 void Heap::collect() {
@@ -453,6 +452,16 @@ void Heap::collect() {
   uint64_t Live = 0;
   for (size_t I = 0; I != NumClasses; ++I)
     sweepClass(Classes[I], MinCellBytes + 8 * I, Live, Freed);
+  // Keep as many empty pages as the classes took since the last
+  // collection, the lowest first, and hand the rest back to malloc: a
+  // steady allocation rate takes the kept ones back without malloc
+  // faulting fresh memory in, and a page no cycle needed does not stay.
+  std::sort(Spare.begin(), Spare.end());
+  while (Spare.size() > PagesTaken) {
+    std::free(Spare.back());
+    Spare.pop_back();
+  }
+  PagesTaken = 0;
   ObjHeader **Link = &Large;
   while (ObjHeader *O = *Link) {
     if (O->Mark) {

@@ -13,9 +13,11 @@
 /// bytes, each page PageBytes of malloc'd memory cut into cells of exactly
 /// the objects' size.  A page is bump-allocated until full; the sweep walks
 /// every class's pages in address order, threads the dead cells onto the
-/// class's free list (reused before any bump) and frees a page with no
-/// live cell.  Larger objects and every stack segment are malloc'd one by
-/// one on a list of their own.
+/// class's free list (reused before any bump) and takes a page with no
+/// live cell off its class.  Such empty pages are spares any class takes
+/// before it mallocs a page; each collection keeps as many as the classes
+/// took since the one before and frees the rest.  Larger objects and every
+/// stack segment are malloc'd one by one on a list of their own.
 ///
 /// Stack segments are traced through the objects that view them (the
 /// current ControlStack and captured Continuations), each scanning exactly
@@ -169,7 +171,7 @@ public:
   /// pinned by the control stack and by live continuations (the
   /// fragmentation §3.4 is about).
   uint64_t segmentWordsInHeap() const;
-  /// Size-class pages currently held, over all classes.
+  /// Size-class pages currently held, over all classes and the spares.
   size_t pageCount() const;
   Stats &stats() { return S; }
 
@@ -190,6 +192,7 @@ private:
 
   void *rawAlloc(size_t Bytes, ObjKind Kind);
   ObjHeader *allocCellOf(size_t Bytes);
+  char *takePage(); ///< A spare if there is one, else a malloc'd page.
   void traceObject(ObjHeader *O, GCVisitor &V);
   void sweepClass(SizeClass &C, size_t CellBytes, uint64_t &Live,
                   uint64_t &Freed);
@@ -202,6 +205,8 @@ private:
   uint64_t AllocsSinceGC = 0;
   uint64_t LiveBytes = 0;
   SizeClass Classes[NumClasses];
+  std::vector<char *> Spare; ///< Empty pages, any class's for the taking.
+  size_t PagesTaken = 0;     ///< Pages classes took since the last collect.
   ObjHeader *Large = nullptr; ///< Malloc'd objects, linked through Next.
   std::vector<RootProvider *> RootProviders;
   std::vector<GCRoot *> Roots;

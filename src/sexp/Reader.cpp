@@ -24,7 +24,9 @@ char Reader::advance() {
   return C;
 }
 
-void Reader::skipAtmosphere() {
+ReadResult Reader::skipAtmosphere() {
+  ReadResult Skipped;
+  Skipped.Ok = true;
   while (!atEnd()) {
     char C = peek();
     if (std::isspace(static_cast<unsigned char>(C))) {
@@ -38,16 +40,19 @@ void Reader::skipAtmosphere() {
     }
     // Datum comment #;<datum>.  readDatum skips the atmosphere before the
     // datum itself, so nested comments recurse through its depth bound.
+    // A datum that does not read fails the read around the comment: left
+    // where it stopped, the reader could be inside a well-formed datum.
     if (C == '#' && Pos + 1 < Input.size() && Input[Pos + 1] == ';') {
       advance();
       advance();
-      ReadResult Skipped = readDatum();
+      Skipped = readDatum();
       if (!Skipped.Ok)
-        return; // The syntax error will re-surface on the next read.
+        return Skipped;
       continue;
     }
-    return;
+    break;
   }
+  return Skipped;
 }
 
 ReadResult Reader::error(const std::string &Msg) {
@@ -57,7 +62,8 @@ ReadResult Reader::error(const std::string &Msg) {
 }
 
 ReadResult Reader::read() {
-  skipAtmosphere();
+  if (ReadResult Skipped = skipAtmosphere(); !Skipped.Ok)
+    return Skipped;
   if (atEnd()) {
     ReadResult R;
     R.AtEof = true;
@@ -81,17 +87,15 @@ bool Reader::readAll(std::vector<Value> &Out, std::string &Error) {
 
 ReadResult Reader::readDatum() {
   if (Depth == MaxDepth)
-    return error("datum nested too deeply");
+    return error("datum nested deeper than " + std::to_string(MaxDepth) +
+                 " levels");
   // Restores Depth on every way out, a throwing allocation included.
   struct Nesting {
     unsigned &Depth;
     ~Nesting() { --Depth; }
   } Level{++Depth};
-  return readDatumBody();
-}
-
-ReadResult Reader::readDatumBody() {
-  skipAtmosphere();
+  if (ReadResult Skipped = skipAtmosphere(); !Skipped.Ok)
+    return Skipped;
   if (atEnd())
     return error("unexpected end of input");
   char C = peek();
@@ -142,7 +146,8 @@ ReadResult Reader::readList(char Close) {
   std::vector<Value> Elems;
   Value Tail = Value::nil();
   for (;;) {
-    skipAtmosphere();
+    if (ReadResult Skipped = skipAtmosphere(); !Skipped.Ok)
+      return Skipped;
     if (atEnd())
       return error("unterminated list");
     if (peek() == Close) {
@@ -161,7 +166,8 @@ ReadResult Reader::readList(char Close) {
       if (!R.Ok)
         return R;
       Tail = R.Datum;
-      skipAtmosphere();
+      if (ReadResult Skipped = skipAtmosphere(); !Skipped.Ok)
+        return Skipped;
       if (atEnd() || peek() != Close)
         return error("expected closing paren after dotted tail");
       advance();
@@ -184,7 +190,8 @@ ReadResult Reader::readList(char Close) {
 ReadResult Reader::readVector() {
   std::vector<Value> Elems;
   for (;;) {
-    skipAtmosphere();
+    if (ReadResult Skipped = skipAtmosphere(); !Skipped.Ok)
+      return Skipped;
     if (atEnd())
       return error("unterminated vector");
     if (peek() == ')') {

@@ -52,10 +52,11 @@ private:
   bool atEnd() const { return Pos >= Input.size(); }
   char peek() const { return Input[Pos]; }
   char advance();
-  void skipAtmosphere(); ///< Whitespace + comments.
+  /// Skips whitespace and comments.  Fails, with the datum's own result,
+  /// when the datum of a datum comment does not read.
+  ReadResult skipAtmosphere();
   ReadResult error(const std::string &Msg);
   ReadResult readDatum();
-  ReadResult readDatumBody();
   ReadResult readList(char Close);
   ReadResult readVector();
   ReadResult readString();

@@ -1,8 +1,8 @@
 // Garbage collector tests: liveness via roots, cycles, precise tracing of
 // continuation stack ranges, segment-cache discarding at GC, the
-// size-class pages (every class, partly and fully dead pages, exact byte
-// accounting, a flat page count under churn), and whole-interpreter
-// integrity under GC pressure.
+// size-class pages (every class, partly and fully dead pages, spares,
+// exact byte accounting, a flat page count under churn), and
+// whole-interpreter integrity under GC pressure.
 
 #include "object/Heap.h"
 #include "object/ListUtil.h"
@@ -13,14 +13,6 @@
 
 #include <algorithm>
 #include <string>
-
-#if defined(__SANITIZE_ADDRESS__)
-#define OSC_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define OSC_TEST_ASAN 1
-#endif
-#endif
 
 using namespace osc;
 
@@ -212,19 +204,29 @@ TEST_F(GcTest, SurvivorsOnAPartlyLivePageKeepTheirContents) {
 }
 
 TEST_F(GcTest, AFullyDeadPageIsFreed) {
-  // Fill several pages with pairs, keep one pair on the last page only:
-  // every other page has no live cell and goes back to malloc.
+  // Fill several pages with pairs and keep one pair on the last page only.
+  // Every other page has no live cell: a collection keeps it as a spare,
+  // since the classes took that many pages since the last one, and any
+  // class takes a spare before it mallocs a page.  A collection after a
+  // cycle that took no page hands the spares back to malloc.
   const size_t PerPage = Heap::PageBytes / sizeof(Pair);
   Pair *Last = nullptr;
   for (size_t J = 0; J != 5 * PerPage; ++J)
     Last = H.allocPair(Value::fixnum(static_cast<int64_t>(J)), Value::nil());
-  ASSERT_GE(H.pageCount(), 5u);
+  const size_t Pages = H.pageCount();
+  ASSERT_GE(Pages, 5u);
   GCRoot Keep(H, Value::object(Last));
   H.collect();
-  EXPECT_EQ(H.pageCount(), 1u);
+  EXPECT_EQ(H.pageCount(), Pages);
+  // A page and a half of 64 B strings (another class) take two spares.
+  for (size_t J = 0; J != 3 * Heap::PageBytes / 128; ++J)
+    stringOfSize(H, 64, 's');
+  EXPECT_EQ(H.pageCount(), Pages);
+  H.collect(); // Two pages taken: keep two spares, free the rest.
+  EXPECT_EQ(H.pageCount(), 1u + 2u);
   EXPECT_EQ(car(Keep.get()).asFixnum(), static_cast<int64_t>(5 * PerPage - 1));
   Keep.set(Value::nil());
-  H.collect();
+  H.collect(); // Nothing taken: every page goes back.
   EXPECT_EQ(H.pageCount(), 0u);
   EXPECT_EQ(H.liveBytesAfterLastGC(), 0u);
 }
@@ -301,25 +303,27 @@ TEST(GcInterp, PageCountStaysFlatUnderMixedGarbage) {
 
 TEST(GcAsan, UseOfACollectedObjectReports) {
   // Reading an unrooted pair after collect() reports, as a use after
-  // free() did: on a page that keeps a live neighbour the dead cell is
-  // poisoned until it is handed out again; a page with no live cell has
-  // gone back to malloc.
-#ifndef OSC_TEST_ASAN
+  // free() did: a dead cell on a page that keeps a live neighbour, and a
+  // page with no live cell kept as a spare, stay poisoned until handed out
+  // again; a spare that the next collection hands back has gone to malloc.
+#ifndef __SANITIZE_ADDRESS__
   GTEST_SKIP() << "needs an AddressSanitizer build";
 #else
-  auto ReadAfterCollect = [](bool KeepNeighbour) {
+  auto ReadAfterCollect = [](bool KeepNeighbour, int Collections) {
     Stats S;
     Heap H(S);
     Pair *Dead = H.allocPair(Value::fixnum(1), Value::nil());
     GCRoot Neighbour(H);
     if (KeepNeighbour)
       Neighbour.set(Value::object(H.allocPair(Value::nil(), Value::nil())));
-    H.collect();
+    for (int J = 0; J != Collections; ++J)
+      H.collect();
     volatile uint64_t Bits = Dead->Car.raw();
     (void)Bits;
   };
-  EXPECT_DEATH(ReadAfterCollect(true), "use-after-poison");
-  EXPECT_DEATH(ReadAfterCollect(false), "heap-use-after-free");
+  EXPECT_DEATH(ReadAfterCollect(true, 1), "use-after-poison");
+  EXPECT_DEATH(ReadAfterCollect(false, 1), "use-after-poison");
+  EXPECT_DEATH(ReadAfterCollect(false, 2), "heap-use-after-free");
 #endif
 }
 

@@ -333,6 +333,9 @@ TEST(Serve, DeepNestingAnswersErrAndTheWorkerLives) {
   for (int I = 0; I != 60000; ++I)
     Comments += "#;";
   EXPECT_EQ(ask(C, "EVAL " + Comments + "1"), "ERR");
+  // A too-deep datum inside a datum comment fails the whole request.
+  EXPECT_EQ(ask(C, "EVAL #;" + Sum(Reader::MaxDepth) + " 7"), "ERR");
+  EXPECT_EQ(ask(C, "EVAL #;" + Sum(Reader::MaxDepth - 1) + " 7"), "7");
   EXPECT_EQ(ask(C, "PING"), "PONG");
   EXPECT_EQ(ask(C, "MATCH " + Groups(regex::MaxGroupDepth)), "FOUND 1 2");
   EXPECT_EQ(ask(C, "MATCH " + Groups(regex::MaxGroupDepth + 1)), "ERR");

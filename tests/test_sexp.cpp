@@ -84,7 +84,8 @@ TEST_F(SexpTest, NestingPastMaxDepthIsAReadError) {
   EXPECT_TRUE(R.Ok) << R.Error;
   R = readDatum(H, "(" + AtLimit + ")");
   EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("datum nested too deeply"), std::string::npos)
+  EXPECT_NE(R.Error.find("datum nested deeper than 1000 levels"),
+            std::string::npos)
       << R.Error;
   // Quote sugar and datum comments nest through the same funnel.
   EXPECT_TRUE(readDatum(H, std::string(D - 1, '\'') + "x").Ok);
@@ -98,6 +99,30 @@ TEST_F(SexpTest, NestingPastMaxDepthIsAReadError) {
   EXPECT_FALSE(readDatum(H, Deep).Ok);
   EXPECT_FALSE(readDatum(H, std::string(100000, '[')).Ok);
   EXPECT_EQ(roundTrip("(a (b (c)))"), "(a (b (c)))");
+}
+
+TEST_F(SexpTest, ADatumCommentThatFailsFailsTheRead) {
+  // The depth error stops the reader inside a well-formed datum; going on
+  // from there would read part of the commented-out datum as live text.
+  const unsigned D = Reader::MaxDepth;
+  auto Nest = [](unsigned Levels) { // Levels counts the atom.
+    return std::string(Levels - 1, '(') + "5" + std::string(Levels - 1, ')');
+  };
+  auto TooDeep = [&](const std::string &In) {
+    return roundTrip(In).find("datum nested deeper than 1000 levels") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(TooDeep("#;" + Nest(D + 1) + " 7"));
+  EXPECT_TRUE(TooDeep("(a #;" + Nest(D + 1) + " 7 b)"));
+  // Inside a list or a vector the comment's datum starts a level down.
+  EXPECT_TRUE(TooDeep("(a #;" + Nest(D) + " b)"));
+  EXPECT_TRUE(TooDeep("#(a #;" + Nest(D) + " b)"));
+  EXPECT_TRUE(TooDeep("(a . #;" + Nest(D) + " b)"));
+  EXPECT_EQ(roundTrip("#;" + Nest(D) + " 7"), "7");
+  EXPECT_EQ(roundTrip("(a #;" + Nest(D - 1) + " b)"), "(a b)");
+  // Any other failure inside the comment fails the read too.
+  EXPECT_TRUE(roundTrip("#;(1 2").starts_with("error: read error"));
+  EXPECT_TRUE(roundTrip("(a #;)").starts_with("error:"));
 }
 
 TEST_F(SexpTest, Vectors) {
