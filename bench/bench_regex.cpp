@@ -1,11 +1,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The regex-engine benchmark: three workloads on the bytecode Pike VM
+/// The regex-engine benchmark: four workloads on the bytecode Pike VM
 /// (src/regex), all gated on exact counters rather than timings.
 ///
 ///   * search-throughput — whole-string regex-search over a synthetic log
-///     corpus: raw scanning rate, no continuations involved;
+///     corpus: raw scanning rate, no continuations involved.  The
+///     pattern's first byte is rare in the corpus, so the search skips
+///     most of it without stepping a thread;
+///   * search-dense — the same corpus under a pattern whose first byte
+///     may be any corpus byte, so no byte can be skipped and every one
+///     steps the thread list: the path the skip cannot take;
 ///   * stream — chunked matching through a producer/consumer pair of
 ///     green threads rendezvousing on a channel, so every chunk handoff
 ///     is a scheduler park.  Measured once with one-shot switching (the
@@ -18,9 +23,10 @@
 ///     aborts the moment any run exceeds it, a wall-clock-free proof that
 ///     the engine cannot blow up.
 ///
-/// The harness also aborts if a column is missing or scanned other than
-/// its exact byte count (a drifted workload).  OSC_BENCH_FAST=1 shrinks
-/// the run for a smoke test.
+/// The harness also aborts if a column is missing, or scanned or stepped
+/// other than its exact byte and step counts (a drifted workload, or a
+/// skip that stopped firing or fired where it must not).  OSC_BENCH_FAST=1
+/// shrinks the run for a smoke test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +56,7 @@ struct Column {
   }
 };
 
-/// A log-like corpus.  The throughput pattern never matches it, so every
+/// A log-like corpus.  Neither search pattern matches it, so every
 /// search scans end to end — otherwise leftmost-match semantics would
 /// stop the scan at the first hit and the column would measure a prefix.
 std::string corpus(size_t Lines) {
@@ -64,10 +70,11 @@ std::string corpus(size_t Lines) {
   return Text;
 }
 
-Column runThroughput(int Execs, const std::string &Text) {
+Column runSearch(const char *Name, const std::string &Pattern, int Execs,
+                 const std::string &Text) {
   Interp I;
-  mustEval(I, "(define re (regex-compile \"status=5[0-9][0-9]\"))"
-              "(define text \"" + Text + "\")");
+  mustEval(I, "(define re (regex-compile \"" + Pattern + "\"))");
+  mustEval(I, "(define text \"" + Text + "\")");
   mustEval(I, "(regex-search re text)"); // Warmup.
 
   Run R = timed(I, "(let loop ((k 0) (r #f))"
@@ -75,7 +82,7 @@ Column runThroughput(int Execs, const std::string &Text) {
                   "      (loop (+ k 1) (regex-search re text))))");
 
   Column Col;
-  Col.Name = "search-throughput";
+  Col.Name = Name;
   Col.Bytes = R.D.RegexBytesScanned;
   Col.Steps = R.D.RegexSteps;
   Col.Ms = R.Ms;
@@ -172,7 +179,9 @@ int main() {
               Execs, Text.size(), Chunks);
 
   std::vector<Column> Cols;
-  Cols.push_back(runThroughput(Execs, Text));
+  const char *Sparse = "status=5[0-9][0-9]", *Dense = ".tatus=5[0-9][0-9]";
+  Cols.push_back(runSearch("search-throughput", Sparse, Execs, Text));
+  Cols.push_back(runSearch("search-dense", Dense, Execs, Text));
   Cols.push_back(runStream(/*OneShot=*/true, Chunks, ChunkBytes));
   Cols.push_back(runStream(/*OneShot=*/false, Chunks, ChunkBytes));
   for (int N : {8, 16, 32})
@@ -186,21 +195,31 @@ int main() {
                 static_cast<unsigned long long>(C.Steps), C.Ms,
                 static_cast<unsigned long long>(C.WordsCopied), C.mbPerSec());
 
-  // Every column, scanning exactly the bytes its workload feeds it.
+  // Every column, scanning exactly the bytes its workload feeds it and
+  // visiting exactly the thread states the engine needs for them.  The
+  // skip shows in search-throughput (about one visit per 28 bytes) and in
+  // the stream columns (the init and the first spawn, then no visit for
+  // any 'x'); search-dense, where nothing can be skipped, visits what an
+  // engine without the skip visits.
   const struct {
     const char *Name;
-    uint64_t Bytes, BytesFast;
+    uint64_t Bytes, BytesFast, Steps, StepsFast;
   } Shapes[] = {
-      {"search-throughput", 20943600, 104680},
-      {"stream-oneshot", 1280000, 32000},
-      {"stream-copying-shim", 1280000, 32000},
-      {"pathological-n8", 8, 8},
-      {"pathological-n16", 16, 16},
-      {"pathological-n32", 32, 32},
+      {"search-throughput", 20943600, 104680, 756000, 3880},
+      {"search-dense", 20943600, 104680, 43770400, 218800},
+      {"stream-oneshot", 1280000, 32000, 2, 2},
+      {"stream-copying-shim", 1280000, 32000, 2, 2},
+      {"pathological-n8", 8, 8, 117, 117},
+      {"pathological-n16", 16, 16, 425, 425},
+      {"pathological-n32", 32, 32, 1617, 1617},
   };
-  for (const auto &S : Shapes)
-    expectCount(std::string("bench_regex: ") + S.Name + " bytes",
-                column(Cols, S.Name).Bytes, Fast ? S.BytesFast : S.Bytes);
+  for (const auto &S : Shapes) {
+    const Column &C = column(Cols, S.Name);
+    expectCount(std::string("bench_regex: ") + S.Name + " bytes", C.Bytes,
+                Fast ? S.BytesFast : S.Bytes);
+    expectCount(std::string("bench_regex: ") + S.Name + " steps", C.Steps,
+                Fast ? S.StepsFast : S.Steps);
+  }
 
   // The paper's invariant carried into the regex service: steady-state
   // streaming parks copy nothing one-shot, and the shim column must show

@@ -1,5 +1,6 @@
 #include "regex/Regex.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -528,20 +529,64 @@ bool regex::compile(std::string_view Pattern, ProgramBuffer &Out,
 // it.  Dedup is per position by pc, so a position costs at most NInstrs
 // closure visits: total work is bounded by (bytes + 1) * NInstrs — the
 // linear bound bench_regex asserts on the pathological column.
+//
+// A search also skips what cannot start a match.  While no match is
+// known and the list holds only the spawn planted at the current offset,
+// a byte that none of the spawn's blocked states consumes kills every
+// thread, and the spawn after it is the same list one offset later.  So
+// feed jumps to the next byte that some state does consume and re-stamps
+// the spawn's Start: most bytes of a search cost no closure work at all.
 
 namespace {
+
+/// Working storage for one engine call: one per OS thread, grown to the
+/// largest program run on it, so a warm call allocates nothing.  Pool
+/// workers run the engine concurrently and share none of this; the
+/// engine never calls out, so no call re-enters it on the same thread.
+struct Scratch {
+  std::vector<uint32_t> Mark;    ///< Per pc: the last generation to visit it.
+  std::vector<uint32_t> Stack;   ///< Pcs a closure has yet to visit.
+  std::vector<RegexThread> Next; ///< The list under construction.
+  uint32_t Gen = 0;
+
+  /// A generation no pc is marked with, so every pc reads unvisited.
+  uint32_t fresh() {
+    if (++Gen == 0) {
+      std::fill(Mark.begin(), Mark.end(), 0);
+      Gen = 1;
+    }
+    return Gen;
+  }
+};
+
+Scratch &scratchFor(uint32_t NInstrs) {
+  thread_local Scratch S;
+  if (S.Mark.size() < NInstrs) {
+    S.Mark.resize(NInstrs, 0);
+    // A closure visits each pc once and pushes at most the pc's width in
+    // successors, so its stack never holds more than its seed plus one
+    // pc per program word.
+    S.Stack.resize(NInstrs + 1);
+    S.Next.resize(NInstrs);
+  }
+  return S;
+}
 
 /// Builds the thread list for one input position: seeds from the stepped
 /// survivors of the previous list (plus the unanchored spawn), expanding
 /// epsilon closures depth-first so earlier-started threads stay first —
 /// the order the leftmost rule and the greedy Split preference rely on.
 struct NfaClosure {
+  NfaClosure(Machine &M, RegexThread *Next, Scratch &S, bool AtEnd)
+      : M(M), Next(Next), Mark(S.Mark.data()), Gen(S.fresh()),
+        Stack(S.Stack.data()), AtEnd(AtEnd) {}
+
   Machine &M;
   RegexThread *Next;
   uint32_t NNext = 0;
   uint32_t *Mark;
   uint32_t Gen;
-  std::vector<uint32_t> &Stack;
+  uint32_t *Stack;
   bool AtEnd;
 
   /// Records a Match reached at the position under construction.
@@ -568,30 +613,29 @@ struct NfaClosure {
     // thread starting later can never beat it.
     if (M.BestStart >= 0 && M.Mode == ModeSearch && Start > M.BestStart)
       return;
-    Stack.clear();
-    Stack.push_back(Pc0);
-    while (!Stack.empty()) {
-      uint32_t Pc = Stack.back();
-      Stack.pop_back();
+    uint32_t Top = 0;
+    Stack[Top++] = Pc0;
+    while (Top != 0) {
+      uint32_t Pc = Stack[--Top];
       if (Mark[Pc] == Gen)
         continue;
       Mark[Pc] = Gen;
       M.Steps += 1;
       switch (M.Prog[Pc]) {
       case OpJmp:
-        Stack.push_back(M.Prog[Pc + 1]);
+        Stack[Top++] = M.Prog[Pc + 1];
         break;
       case OpSplit: // push the preferred branch last so it pops first
-        Stack.push_back(M.Prog[Pc + 2]);
-        Stack.push_back(M.Prog[Pc + 1]);
+        Stack[Top++] = M.Prog[Pc + 2];
+        Stack[Top++] = M.Prog[Pc + 1];
         break;
       case OpBegin:
         if (M.Offset == 0)
-          Stack.push_back(Pc + 1);
+          Stack[Top++] = Pc + 1;
         break;
       case OpEnd:
         if (AtEnd)
-          Stack.push_back(Pc + 1);
+          Stack[Top++] = Pc + 1;
         else
           Next[NNext++] = {Pc, Start}; // stalled until end-of-input
         break;
@@ -606,33 +650,63 @@ struct NfaClosure {
   }
 };
 
-/// True when pc 0's closure at any offset > 0 is provably empty — i.e.
-/// every path is blocked by a '^'.  A static property of the program, so
-/// the unanchored spawn loop can be skipped entirely.
-bool spawnDeadPastZero(const uint32_t *Prog, uint32_t NInstrs) {
-  std::vector<uint8_t> Seen(NInstrs, 0);
-  std::vector<uint32_t> Stack{0};
-  while (!Stack.empty()) {
-    uint32_t Pc = Stack.back();
-    Stack.pop_back();
-    if (Seen[Pc])
+/// What the unanchored spawn plants past offset 0, from one walk of pc
+/// 0's epsilon closure with '^' blocked: the bytes its blocked states
+/// consume (First, in OpClass's bitmap layout) and whether it reaches
+/// anything at all (Dead: every path stops at a '^').  init reads Dead;
+/// feed reads First.  Both are recomputed per call rather than stored,
+/// so RegexProg and RegexStream keep their layouts.
+struct Spawn {
+  uint32_t First[8] = {};
+  bool Dead = true;
+};
+
+Spawn analyzeSpawn(const Machine &M, Scratch &S) {
+  Spawn Sp;
+  uint32_t Gen = S.fresh();
+  uint32_t *Stack = S.Stack.data();
+  uint32_t Top = 0;
+  Stack[Top++] = 0;
+  while (Top != 0) {
+    uint32_t Pc = Stack[--Top];
+    if (S.Mark[Pc] == Gen)
       continue;
-    Seen[Pc] = 1;
-    switch (Prog[Pc]) {
+    S.Mark[Pc] = Gen;
+    switch (M.Prog[Pc]) {
     case OpJmp:
-      Stack.push_back(Prog[Pc + 1]);
+      Stack[Top++] = M.Prog[Pc + 1];
       break;
     case OpSplit:
-      Stack.push_back(Prog[Pc + 1]);
-      Stack.push_back(Prog[Pc + 2]);
+      Stack[Top++] = M.Prog[Pc + 1];
+      Stack[Top++] = M.Prog[Pc + 2];
       break;
     case OpBegin:
       break; // blocked at offset > 0
-    default:
-      return false; // a consuming op, '$', or Match is reachable
+    case OpChar:
+      setBit(Sp.First, static_cast<uint8_t>(M.Prog[Pc + 1]));
+      Sp.Dead = false;
+      break;
+    case OpAny: // every byte but '\n', which is bit 10 of word 0
+      Sp.First[0] |= ~(1u << '\n');
+      for (int I = 1; I != 8; ++I)
+        Sp.First[I] = ~0u;
+      Sp.Dead = false;
+      break;
+    case OpClass:
+      for (int I = 0; I != 8; ++I)
+        Sp.First[I] |= M.Prog[Pc + 1 + I];
+      Sp.Dead = false;
+      break;
+    default: // '$' consumes nothing but lives to end of input; Match
+      Sp.Dead = false;
+      break;
     }
   }
-  return true;
+  return Sp;
+}
+
+bool inSet(const uint32_t *Bits, uint8_t B) {
+  return (Bits[B >> 5] >> (B & 31)) & 1;
 }
 
 /// Settles Decided if the answer can no longer change.
@@ -666,14 +740,10 @@ void regex::init(Machine &M) {
   M.BestStart = M.BestEnd = -1;
   M.Decided = Undecided;
   M.Steps = 0;
-  M.SpawnDead =
-      M.Mode == ModeFull || spawnDeadPastZero(M.Prog, M.NInstrs);
-  std::vector<uint32_t> Mark(M.NInstrs, 0);
-  std::vector<uint32_t> Stack;
-  std::vector<RegexThread> Next(M.NInstrs);
-  NfaClosure C{M, Next.data(), 0, Mark.data(), 1, Stack, /*AtEnd=*/false};
+  Scratch &S = scratchFor(M.NInstrs);
+  M.SpawnDead = M.Mode == ModeFull || analyzeSpawn(M, S).Dead;
+  NfaClosure C(M, M.Threads, S, /*AtEnd=*/false);
   C.add(0, 0);
-  std::memcpy(M.Threads, Next.data(), C.NNext * sizeof(RegexThread));
   M.NThreads = C.NNext;
   decide(M, /*AtFinish=*/false);
 }
@@ -681,16 +751,48 @@ void regex::init(Machine &M) {
 void regex::feed(Machine &M, std::string_view Chunk) {
   if (M.Decided != Undecided || Chunk.empty())
     return;
-  std::vector<uint32_t> Mark(M.NInstrs, 0);
-  std::vector<uint32_t> Stack;
-  std::vector<RegexThread> Next(M.NInstrs);
-  uint32_t Gen = 0;
-  for (char Raw : Chunk) {
-    uint8_t B = static_cast<uint8_t>(Raw);
+  Scratch &S = scratchFor(M.NInstrs);
+  // Full-match runs and '^'-anchored programs (SpawnDead) plant no spawn
+  // past offset 0, and once a match is known the spawn stops: all three
+  // step every byte, with no skip.
+  const bool MaySkip =
+      M.Mode == ModeSearch && !M.SpawnDead && M.BestStart < 0;
+  Spawn Sp;
+  if (MaySkip)
+    Sp = analyzeSpawn(M, S);
+  // Each byte steps the list in Cur into Alt, and the two swap: the list
+  // is copied back into the caller's M.Threads at most once per call.
+  RegexThread *Cur = M.Threads, *Alt = S.Next.data();
+  const auto *P = reinterpret_cast<const uint8_t *>(Chunk.data());
+  const auto *End = P + Chunk.size();
+  while (P != End) {
+    // Only the fresh spawn is alive when the first thread started at this
+    // offset: the list is ordered by Start, and the spawn, planted last,
+    // has the latest.  Never at offset 0, whose closure also passes '^'
+    // and so may hold states the spawn's First does not cover.
+    if (MaySkip && M.BestStart < 0 && M.Offset > 0 && M.NThreads != 0 &&
+        Cur[0].Start == static_cast<int64_t>(M.Offset)) {
+      const uint8_t *Q = P;
+      while (Q != End && !inSet(Sp.First, *Q))
+        ++Q;
+      if (Q != P) {
+        // Offset still counts every skipped byte (RegexBytesScanned is
+        // exact); Steps counts only the visits made, so (bytes+1) *
+        // NInstrs still bounds it.  A stalled '$' is re-stamped like every
+        // other spawned state, so it still answers at end of input.
+        M.Offset += static_cast<uint64_t>(Q - P);
+        for (uint32_t I = 0; I != M.NThreads; ++I)
+          Cur[I].Start = static_cast<int64_t>(M.Offset);
+        P = Q;
+        if (P == End)
+          break; // the next feed resumes the skip where this one stopped
+      }
+    }
+    uint8_t B = *P++;
     M.Offset += 1; // successors live at the position after this byte
-    NfaClosure C{M, Next.data(), 0, Mark.data(), ++Gen, Stack, /*AtEnd=*/false};
+    NfaClosure C(M, Alt, S, /*AtEnd=*/false);
     for (uint32_t I = 0; I != M.NThreads; ++I) {
-      RegexThread T = M.Threads[I];
+      RegexThread T = Cur[I];
       if (M.BestStart >= 0 && M.Mode == ModeSearch && T.Start > M.BestStart)
         continue;
       switch (M.Prog[T.Pc]) {
@@ -703,7 +805,7 @@ void regex::feed(Machine &M, std::string_view Chunk) {
           C.add(T.Pc + 1, T.Start);
         break;
       case OpClass:
-        if ((M.Prog[T.Pc + 1 + (B >> 5)] >> (B & 31)) & 1)
+        if (inSet(&M.Prog[T.Pc + 1], B))
           C.add(T.Pc + 9, T.Start);
         break;
       default: // a stalled '$' dies on any byte
@@ -712,21 +814,21 @@ void regex::feed(Machine &M, std::string_view Chunk) {
     }
     if (M.Mode == ModeSearch && M.BestStart < 0 && !M.SpawnDead)
       C.add(0, static_cast<int64_t>(M.Offset));
-    std::memcpy(M.Threads, Next.data(), C.NNext * sizeof(RegexThread));
+    std::swap(Cur, Alt);
     M.NThreads = C.NNext;
     decide(M, /*AtFinish=*/false);
     if (M.Decided != Undecided)
-      return; // the rest of the chunk cannot change the answer
+      break; // the rest of the chunk cannot change the answer
   }
+  if (Cur != M.Threads)
+    std::memcpy(M.Threads, Cur, M.NThreads * sizeof(RegexThread));
 }
 
 void regex::finish(Machine &M) {
   if (M.Decided != Undecided)
     return;
-  std::vector<uint32_t> Mark(M.NInstrs, 0);
-  std::vector<uint32_t> Stack;
-  std::vector<RegexThread> Next(M.NInstrs);
-  NfaClosure C{M, Next.data(), 0, Mark.data(), 1, Stack, /*AtEnd=*/true};
+  Scratch &S = scratchFor(M.NInstrs);
+  NfaClosure C(M, S.Next.data(), S, /*AtEnd=*/true);
   for (uint32_t I = 0; I != M.NThreads; ++I) {
     RegexThread T = M.Threads[I];
     if (M.BestStart >= 0 && M.Mode == ModeSearch && T.Start > M.BestStart)

@@ -70,9 +70,10 @@ const char *Pool::workerSource() {
 ;; by a backslash — so a literal space in a pattern is spelled [ ] or
 ;; "\ "; everything after the separator, spaces included, is the text.
 ;; Bad patterns answer ERR via regex-try-compile — a client typo must
-;; not unwind the connection thread.
-(define (pattern-split s)
-  (let loop ((i 0) (in-class #f) (esc #f))
+;; not unwind the connection thread.  pattern-split scans s from start,
+;; so the pattern and the text are each cut from the request line once.
+(define (pattern-split s start)
+  (let loop ((i start) (in-class #f) (esc #f))
     (if (>= i (string-length s))
         #f
         (let ((c (substring s i (+ i 1))))
@@ -90,16 +91,16 @@ const char *Pool::workerSource() {
                      (number->string (cdr r)))
       "NOMATCH"))
 
-(define (handle-match payload)
-  (let ((sp (pattern-split payload)))
+;; line is the whole request, so the pattern starts after "MATCH ".
+(define (handle-match line)
+  (let ((sp (pattern-split line 6)))
     (if (not sp)
         "ERR"
-        (let ((re (regex-try-compile (substring payload 0 sp))))
+        (let ((re (regex-try-compile (substring line 6 sp))))
           (if (not re)
               "ERR"
               (let ((r (regex-search
-                        re (substring payload (+ sp 1)
-                                      (string-length payload)))))
+                        re (substring line (+ sp 1) (string-length line)))))
                 (if r (match-reply r) "NOMATCH")))))))
 
 (define (answer line)
@@ -111,8 +112,7 @@ const char *Pool::workerSource() {
            "ERR"
            (let ((v (safe-eval d)))
              (if (eq? v 'err) "ERR" (number->string v))))))
-    ((starts-with? line "MATCH ")
-     (handle-match (substring line 6 (string-length line))))
+    ((starts-with? line "MATCH ") (handle-match line))
     (else "ERR")))
 
 ;; STREAM (e1 e2 ...): one PART line per expression, then DONE.  The parts

@@ -7,6 +7,7 @@
 #include "sexp/Reader.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -481,6 +482,14 @@ Value primSymbolToString(VM &Vm, Value *A, uint32_t) {
   return Value::object(Vm.heap().allocString(S->name()));
 }
 Value primNumberToString(VM &Vm, Value *A, uint32_t) {
+  if (A[0].isFixnum()) {
+    // The printer's digits without its ostringstream: every EVAL reply,
+    // FOUND reply and STREAM part formats its numbers here.
+    char Buf[24]; // a sign and 19 digits cover every int64_t
+    char *End = std::to_chars(Buf, Buf + sizeof Buf, A[0].asFixnum()).ptr;
+    return Value::object(Vm.heap().allocString(
+        std::string_view(Buf, static_cast<size_t>(End - Buf))));
+  }
   if (!isNumber(A[0]))
     return Vm.fail("number->string: not a number");
   return Value::object(Vm.heap().allocString(writeToString(A[0])));

@@ -66,7 +66,11 @@ struct RunResult {
 
 RunResult runWhole(VM &Vm, RegexProg *P, std::string_view Text,
                    uint8_t Mode) {
-  std::vector<RegexThread> Threads(P->NInstrs);
+  // One thread list per OS thread, grown to the largest program run on
+  // it, so a warm whole-string run allocates nothing.
+  thread_local std::vector<RegexThread> Threads;
+  if (Threads.size() < P->NInstrs)
+    Threads.resize(P->NInstrs);
   regex::Machine M;
   M.Prog = P->Instrs;
   M.NInstrs = P->NInstrs;

@@ -210,6 +210,57 @@ TEST_F(VmSemantics, EqualityPredicates) {
   EXPECT_EQ(run("(equal? #(1 2) #(1 3))"), "#f");
 }
 
+TEST_F(VmSemantics, EqualWalksDeepDataWithoutRecursing) {
+  // equal? keeps what it still owes on a stack of its own, so data nested
+  // 300,000 deep, in cars or in vector elements, is a loop rather than
+  // 300,000 C frames (a recursive equal? overflowed an 8 MB stack at
+  // 200,000).
+  run("(define (nest wrap n leaf)"
+      "  (let loop ((i 0) (acc leaf))"
+      "    (if (= i n) acc (loop (+ i 1) (wrap acc)))))"
+      "(define (vec2 x) (vector x 'v))"
+      "(define list-a (nest list 300000 1))"
+      "(define list-b (nest list 300000 1))"
+      "(define list-c (nest list 300000 2))"
+      "(define vec-a (nest vec2 300000 'x))"
+      "(define vec-b (nest vec2 300000 'x))"
+      "(define vec-c (nest vec2 300000 'y))");
+  EXPECT_EQ(run("(equal? list-a list-b)"), "#t");
+  EXPECT_EQ(run("(equal? list-a list-c)"), "#f"); // unequal at the bottom
+  EXPECT_EQ(run("(equal? vec-a vec-b)"), "#t");
+  EXPECT_EQ(run("(equal? vec-a vec-c)"), "#f");
+  // member and assoc compare with equal? too.
+  EXPECT_EQ(run("(pair? (member list-b (list 0 list-a)))"), "#t");
+  EXPECT_EQ(run("(assoc list-c (list (cons list-a 'a)))"), "#f");
+  EXPECT_EQ(run("(cdr (assoc vec-b (list (cons 1 'n) (cons vec-a 'v))))"),
+            "v");
+  // Long spines, mixed nesting, and where lengths part.
+  EXPECT_EQ(run("(equal? (iota 100000) (iota 100000))"), "#t");
+  EXPECT_EQ(run("(equal? '(1 #(2 (3 \"x\")) 4) '(1 #(2 (3 \"x\")) 4))"),
+            "#t");
+  EXPECT_EQ(run("(equal? '(1 #(2 (3 \"x\")) 4) '(1 #(2 (3 \"y\")) 4))"),
+            "#f");
+  EXPECT_EQ(run("(equal? '((1) 2) '((1) 2 3))"), "#f");
+  EXPECT_EQ(run("(equal? #(1 #(2)) #(1 #(2) 3))"), "#f");
+  EXPECT_EQ(run("(equal? #(#() ()) #(#() ()))"), "#t");
+}
+
+TEST_F(VmSemantics, NumberToStringAgreesWithWrite) {
+  // Fixnums are formatted without the printer; the digits must be the
+  // ones write prints, up to both ends of the 63-bit range.
+  for (const char *N : {"0", "-1", "7", "-42", "1000000007",
+                        "4611686018427387903", "-4611686018427387904"}) {
+    std::string Written = run(N);
+    EXPECT_EQ(Written, N);
+    EXPECT_EQ(run(std::string("(number->string ") + N + ")"),
+              "\"" + Written + "\"");
+  }
+  EXPECT_EQ(run("(number->string (* -3 1000000007))"), "\"-3000000021\"");
+  EXPECT_EQ(run("(number->string 1.5)"), "\"1.5\"");
+  EXPECT_EQ(run("(string->number (number->string -4611686018427387904))"),
+            "-4611686018427387904");
+}
+
 TEST_F(VmSemantics, VectorsAndStrings) {
   EXPECT_EQ(run("(vector-length (make-vector 4 'x))"), "4");
   EXPECT_EQ(run("(vector-ref (vector 'a 'b 'c) 1)"), "b");
